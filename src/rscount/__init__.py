@@ -9,46 +9,38 @@ either, with coefficient extraction replacing any numerical integration.
 __version__ = "0.1.0"
 
 from .charclass import (CompleteIntersection, CurvatureClass, a_hat_genus,
-                        char_number, char_number_polynomial, chern_class,
-                        curvature_class, first_chern_coefficient, is_spin,
-                        pontryagin_class, rs_index)
-from .rings import MultiPoly, Rational, binomial
+                        char_number, char_number_polynomial, curvature_class,
+                        first_chern_coefficient, is_spin, rs_index)
+from .rings import MultiPoly, binomial
 from .rsbounds import (RSBoundReport, TheoremInapplicableError,
                        cy_hypersurface_bound_closed_form, exceeds_torus,
                        find_degree_exceeding,
                        hypersurface_char_number_closed_form,
                        max_parallel_spinors, product_bound, rs_lower_bound,
                        torus_parallel_spinors, torus_rs_dimension)
-from .series import (RATIONALS, PolynomialRing, PowerSeries, RationalRing,
-                     cosh_series, exp_series, sinh_series, sinhc_half_series)
+from .series import (PowerSeries, cosh_series, sinh_series,
+                     sinhc_half_series)
 
 __all__ = [
     "CompleteIntersection",
     "CurvatureClass",
     "MultiPoly",
-    "PolynomialRing",
     "PowerSeries",
-    "RATIONALS",
-    "Rational",
-    "RationalRing",
     "RSBoundReport",
     "TheoremInapplicableError",
     "a_hat_genus",
     "binomial",
     "char_number",
     "char_number_polynomial",
-    "chern_class",
     "cosh_series",
     "curvature_class",
     "cy_hypersurface_bound_closed_form",
     "exceeds_torus",
-    "exp_series",
     "find_degree_exceeding",
     "first_chern_coefficient",
     "hypersurface_char_number_closed_form",
     "is_spin",
     "max_parallel_spinors",
-    "pontryagin_class",
     "product_bound",
     "rs_index",
     "rs_lower_bound",

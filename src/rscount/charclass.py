@@ -5,7 +5,6 @@ degrees a_1..a_r, has complex dimension m, and its characteristic classes
 restrict from the ambient space::
 
     c(TM)      = (1+h)^{m+r+1} * prod_j (1 + a_j h)^{-1}
-    p(TM)      = (1+h^2)^{m+r+1} * prod_j (1 + a_j^2 h^2)^{-1}
     ch(T^C M)  = 2*((m+r+1) cosh(h) - 1 - sum_j cosh(a_j h))
     A-hat(TM)  = ((h/2)/sinh(h/2))^{m+r+1} * prod_j sinh(a_j h/2)/(a_j h/2)
 
@@ -32,8 +31,7 @@ from math import prod
 from typing import Literal, Sequence
 
 from .rings import MultiPoly
-from .series import (RATIONALS, CoefficientRing, PolynomialRing, PowerSeries,
-                     cosh_series, sinhc_half_series)
+from .series import PowerSeries, cosh_series, sinhc_half_series
 
 Chirality = Literal["plus", "minus"]
 
@@ -44,6 +42,11 @@ class CurvatureClass(enum.Enum):
     FANO = "fano"
     CALABI_YAU = "calabi_yau"
     GENERAL_TYPE = "general_type"
+
+
+def _is_positive_int(value) -> bool:
+    # bool is an int subclass, but True is not a dimension or a degree
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -61,14 +64,13 @@ class CompleteIntersection:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_positive_int(self.m):
             raise ValueError("complex dimension must be a positive integer")
         degrees = tuple(self.degrees)
         if not degrees:
             raise ValueError("at least one degree is required")
-        for a in degrees:
-            if not isinstance(a, int) or a < 1:
-                raise ValueError("degrees must be positive integers")
+        if not all(_is_positive_int(a) for a in degrees):
+            raise ValueError("degrees must be positive integers")
         object.__setattr__(self, "degrees", tuple(sorted(degrees)))
 
     @property
@@ -100,55 +102,33 @@ def curvature_class(ci: CompleteIntersection) -> CurvatureClass:
     return CurvatureClass.GENERAL_TYPE
 
 
-def _unit_plus_monomial(order: int, power: int, value: int) -> PowerSeries:
-    """1 + value*h^power, truncated at the given order."""
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    if power <= order:
-        coeffs[power] = coeffs[power] + Fraction(value)
-    return PowerSeries(RATIONALS, coeffs)
-
-
-def chern_class(ci: CompleteIntersection, order: int) -> PowerSeries:
-    """Total Chern class c(TM), expanded in powers of h.
-
-    All coefficients are integral rationals.
-    """
-    series = _unit_plus_monomial(order, 1, 1) ** (ci.m + ci.codimension + 1)
-    for a in ci.degrees:
-        series = series * _unit_plus_monomial(order, 1, a) ** -1
-    return series
-
-
-def pontryagin_class(ci: CompleteIntersection, order: int) -> PowerSeries:
-    """Total Pontryagin class p(TM); only even powers of h occur."""
-    series = _unit_plus_monomial(order, 2, 1) ** (ci.m + ci.codimension + 1)
-    for a in ci.degrees:
-        series = series * _unit_plus_monomial(order, 2, a * a) ** -1
-    return series
-
-
-def _pole_free_a_hat(m: int, scalars: Sequence, ring: CoefficientRing) -> PowerSeries:
+def _pole_free_a_hat(m: int, scalars: Sequence) -> PowerSeries:
     """S(h)^{-(m+r+1)} * prod_j S(a_j h) at order m, S(h) = sinh(h/2)/(h/2).
 
     Equals a_1...a_r times the A-hat class with its h-poles cancelled; the
     degrees enter only through argument scaling, so they may be rationals or
-    polynomial variables.
+    polynomial variables, while the power of S stays a rational series.
     """
-    s = sinhc_half_series(m, ring)
+    s = sinhc_half_series(m)
     series = s ** -(m + len(scalars) + 1)
     for a in scalars:
         series = series * s.scale_arg(a)
     return series
 
 
-def _half_tangent_character(m: int, scalars: Sequence, ring: CoefficientRing) -> PowerSeries:
+def _half_tangent_character(m: int, scalars: Sequence) -> PowerSeries:
     """(m+r+1) cosh(h) - 1 - sum_j cosh(a_j h); ch(T^C M) is twice this."""
-    cosh = cosh_series(m, ring)
+    cosh = cosh_series(m)
     series = (m + len(scalars) + 1) * cosh - 1
     for a in scalars:
         series = series - cosh.scale_arg(a)
     return series
+
+
+def _integrand(m: int, scalars: Sequence) -> PowerSeries:
+    """The series whose h^m coefficient, times 2*a_1...a_r, is the
+    characteristic number; shared by the numeric and polynomial routes."""
+    return _pole_free_a_hat(m, scalars) * _half_tangent_character(m, scalars)
 
 
 def char_number(ci: CompleteIntersection) -> int | Fraction:
@@ -160,9 +140,7 @@ def char_number(ci: CompleteIntersection) -> int | Fraction:
     hypersurface gives 5/2 -- which are returned as exact fractions.
     Vanishes for odd m, where the integrand is an even series.
     """
-    series = (_pole_free_a_hat(ci.m, ci.degrees, RATIONALS)
-              * _half_tangent_character(ci.m, ci.degrees, RATIONALS))
-    value = 2 * prod(ci.degrees) * series[ci.m]
+    value = 2 * prod(ci.degrees) * _integrand(ci.m, ci.degrees)[ci.m]
     if value.denominator == 1:
         return int(value)
     if is_spin(ci):
@@ -181,19 +159,13 @@ def char_number_polynomial(m: int, r: int) -> MultiPoly:
     """
     if m < 1 or r < 1:
         raise ValueError("dimension and codimension must be positive")
-    ring = PolynomialRing(r)
-    variables = [ring.variable(i) for i in range(r)]
-    series = (_pole_free_a_hat(m, variables, ring)
-              * _half_tangent_character(m, variables, ring))
-    prefactor = MultiPoly.constant(2, r)
-    for v in variables:
-        prefactor = prefactor * v
-    return prefactor * series[m]
+    variables = [MultiPoly.variable(i, r) for i in range(r)]
+    return 2 * prod(variables) * _integrand(m, variables)[m]
 
 
 def a_hat_genus(ci: CompleteIntersection) -> Fraction:
     """<A-hat(TM), [M]>, exact; an integer on spin manifolds."""
-    return prod(ci.degrees) * _pole_free_a_hat(ci.m, ci.degrees, RATIONALS)[ci.m]
+    return prod(ci.degrees) * _pole_free_a_hat(ci.m, ci.degrees)[ci.m]
 
 
 def rs_index(ci: CompleteIntersection, chirality: Chirality) -> int:
@@ -206,10 +178,16 @@ def rs_index(ci: CompleteIntersection, chirality: Chirality) -> int:
         raise ValueError("chirality must be 'plus' or 'minus'")
     if not is_spin(ci):
         raise ValueError(f"{ci} admits no spin structure; the index is undefined")
-    total = char_number(ci) + a_hat_genus(ci)
+    value = rs_index_from(ci, char_number(ci), a_hat_genus(ci))
+    return value if chirality == "plus" else -value
+
+
+def rs_index_from(ci: CompleteIntersection, charnum: int, a_hat: Fraction) -> int:
+    """Plus-chirality index of spin ``ci`` from its characteristic number and
+    A-hat genus already in hand: their sum, which must be an integer."""
+    total = charnum + a_hat
     if total.denominator != 1:
         raise ArithmeticError(
             f"index of spin {ci} came out non-integral ({total}); "
             "this signals a bug in the series engine")
-    value = int(total)
-    return value if chirality == "plus" else -value
+    return int(total)

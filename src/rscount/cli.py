@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import __version__
-from .charclass import (CompleteIntersection, a_hat_genus, char_number,
-                        char_number_polynomial, rs_index)
+from .charclass import (CompleteIntersection, char_number,
+                        char_number_polynomial)
 from .output import FORMATS, render
 from .rings import MultiPoly
 from .rsbounds import (RSBoundReport, TheoremInapplicableError,
@@ -113,8 +113,8 @@ def _report_dict(report: RSBoundReport, include_index: bool) -> dict:
         "charnum": str(report.charnum),
     }
     if include_index:
-        result["aHatGenus"] = str(a_hat_genus(ci))
-        result["rsIndexPlus"] = str(rs_index(ci, "plus"))
+        result["aHatGenus"] = str(report.a_hat_genus)
+        result["rsIndexPlus"] = str(report.rs_index_plus)
     result["deduction"] = str(report.parallel_spinor_deduction)
     result["boundPlus"] = str(report.bound_plus)
     result["boundMinus"] = str(report.bound_minus)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-Rational = Fraction
-
 Exponents = tuple[int, ...]
 
 
@@ -95,9 +93,6 @@ class MultiPoly:
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         """Coefficient of the given monomial (0 if absent)."""
         return self.terms.get(tuple(exponents), Fraction(0))
-
-    def constant_coefficient(self) -> Fraction:
-        return self.coefficient((0,) * self.num_vars)
 
     def evaluate(self, values: Sequence):
         """Evaluate at the given point.  Exact, and a ring homomorphism.

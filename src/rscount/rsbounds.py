@@ -12,10 +12,15 @@ remaining dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .charclass import (CompleteIntersection, CurvatureClass, char_number,
-                        curvature_class, is_spin)
+from .charclass import (CompleteIntersection, CurvatureClass, a_hat_genus,
+                        char_number, curvature_class, is_spin, rs_index_from)
 from .rings import binomial
+
+# Even degrees find_degree_exceeding tries before giving up.  Answers at
+# degree 800 for m = 2 take about 400 steps.
+SEARCH_BUDGET = 2000
 
 
 class TheoremInapplicableError(ValueError):
@@ -28,7 +33,9 @@ class RSBoundReport:
 
     ``charnum`` keeps the raw signed characteristic number; the bounds are
     clamped at zero, a negative dimension bound carrying no information.
-    Reports exist only for spin inputs with c_1 <= 0.
+    The A-hat genus and the plus-chirality Rarita-Schwinger index come along,
+    so that each number is computed once per report.  Reports exist only for
+    spin inputs with c_1 <= 0.
     """
 
     ci: CompleteIntersection
@@ -36,6 +43,8 @@ class RSBoundReport:
     spin: bool
     curvature: CurvatureClass
     charnum: int
+    a_hat_genus: Fraction
+    rs_index_plus: int
     parallel_spinor_deduction: int
     bound_plus: int
     bound_minus: int
@@ -101,6 +110,7 @@ def rs_lower_bound(ci: CompleteIntersection) -> RSBoundReport:
     if ci.real_dimension < 4:
         raise TheoremInapplicableError("theorem requires real dimension at least 4")
     charnum = char_number(ci)
+    a_hat = a_hat_genus(ci)
     deduction = (max_parallel_spinors(ci.real_dimension)
                  if curvature is CurvatureClass.CALABI_YAU else 0)
     return RSBoundReport(
@@ -109,6 +119,8 @@ def rs_lower_bound(ci: CompleteIntersection) -> RSBoundReport:
         spin=True,
         curvature=curvature,
         charnum=charnum,
+        a_hat_genus=a_hat,
+        rs_index_plus=rs_index_from(ci, charnum, a_hat),
         parallel_spinor_deduction=deduction,
         bound_plus=max(charnum - deduction, 0),
         bound_minus=max(-charnum - deduction, 0),
@@ -147,15 +159,18 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
 
     Even a gives a spin hypersurface; a > m+2 makes c_1 negative.  Such an a
     always exists because the characteristic number is a degree-(m+1)
-    polynomial in a with nonzero leading coefficient.
+    polynomial in a with nonzero leading coefficient, but the scan stops
+    after SEARCH_BUDGET degrees with a ValueError rather than run unbounded.
     """
     _require_even(m)
     if threshold < 1:
         raise ValueError("threshold must be positive")
-    a = m + 4
-    while abs(char_number(CompleteIntersection(m, (a,)))) <= threshold:
-        a += 2
-    return a
+    for a in range(m + 4, m + 4 + 2 * SEARCH_BUDGET, 2):
+        if abs(char_number(CompleteIntersection(m, (a,)))) > threshold:
+            return a
+    raise ValueError(
+        f"no even degree up to {a} beats threshold {threshold} for m={m}; "
+        f"the search stops after {SEARCH_BUDGET} degrees")
 
 
 def exceeds_torus(m: int) -> bool:

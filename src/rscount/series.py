@@ -1,10 +1,13 @@
-"""Truncated formal power series over exact coefficient rings.
+"""Truncated formal power series with exact coefficients.
 
 A series stores coefficients for h^0 .. h^N inclusive, N being the
-truncation order.  Coefficients live in an exact ring: plain rationals, or
-polynomials in the degree variables.  Arithmetic truncates to the smaller
-operand order; inversion requires an invertible constant term (every series
-handled here is a unit, poles having been cancelled analytically upstream).
+truncation order.  A coefficient is a ``Fraction`` or a ``MultiPoly`` in the
+degree variables; ``int`` input is read as a ``Fraction``.  A series turns
+polynomial as soon as a polynomial enters it, and a rational coefficient in
+such a series stands for a constant polynomial.  Arithmetic truncates to the
+smaller operand order; inversion requires a nonzero rational constant term
+(every series inverted here is a rational unit, poles having been cancelled
+analytically upstream).
 """
 
 from __future__ import annotations
@@ -18,86 +21,14 @@ from .rings import MultiPoly
 Coefficient = Union[Fraction, MultiPoly]
 
 
-class RationalRing:
-    """The coefficient ring of exact rationals."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, value) -> Fraction:
-        if isinstance(value, (Fraction, int)):
-            return Fraction(value)
-        raise TypeError(f"cannot use {value!r} as a rational coefficient")
-
-    def invert(self, value: Fraction) -> Fraction:
-        if not value:
-            raise ZeroDivisionError("constant term is zero; series is not invertible")
-        return 1 / Fraction(value)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalRing)
-
-    def __hash__(self) -> int:
-        return hash(RationalRing)
-
-    def __repr__(self) -> str:
-        return "RationalRing()"
-
-
-RATIONALS = RationalRing()
-
-
-class PolynomialRing:
-    """The coefficient ring of polynomials in ``num_vars`` variables."""
-
-    def __init__(self, num_vars: int):
-        if num_vars < 1:
-            raise ValueError("a polynomial ring needs at least one variable")
-        self.num_vars = num_vars
-
-    @property
-    def zero(self) -> MultiPoly:
-        return MultiPoly(self.num_vars)
-
-    @property
-    def one(self) -> MultiPoly:
-        return MultiPoly.constant(1, self.num_vars)
-
-    def variable(self, index: int) -> MultiPoly:
-        return MultiPoly.variable(index, self.num_vars)
-
-    def coerce(self, value) -> MultiPoly:
-        if isinstance(value, MultiPoly):
-            if value.num_vars != self.num_vars:
-                raise ValueError(
-                    f"polynomial in {value.num_vars} variables does not belong to "
-                    f"a ring with {self.num_vars}")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return MultiPoly.constant(value, self.num_vars)
-        raise TypeError(f"cannot use {value!r} as a polynomial coefficient")
-
-    def invert(self, value: MultiPoly) -> MultiPoly:
-        value = self.coerce(value)
-        if value.degree > 0:
-            raise ZeroDivisionError(
-                "constant term is a nonconstant polynomial; series is not invertible")
-        constant = value.constant_coefficient()
-        if not constant:
-            raise ZeroDivisionError("constant term is zero; series is not invertible")
-        return MultiPoly.constant(1 / constant, self.num_vars)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolynomialRing) and other.num_vars == self.num_vars
-
-    def __hash__(self) -> int:
-        return hash((PolynomialRing, self.num_vars))
-
-    def __repr__(self) -> str:
-        return f"PolynomialRing({self.num_vars})"
-
-
-CoefficientRing = Union[RationalRing, PolynomialRing]
+def _coefficient(value) -> Coefficient:
+    """Check an exact coefficient; ints become Fractions.  ``bool`` is
+    rejected although it is an int subclass."""
+    if isinstance(value, (Fraction, MultiPoly)):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"cannot use {value!r} as a series coefficient")
 
 
 class PowerSeries:
@@ -107,22 +38,20 @@ class PowerSeries:
     series agrees with any of its further truncations.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("coeffs",)
 
-    ring: CoefficientRing
     coeffs: tuple[Coefficient, ...]
 
-    def __init__(self, ring: CoefficientRing, coeffs: Sequence):
+    def __init__(self, coeffs: Sequence):
         if not coeffs:
             raise ValueError("a series stores at least its constant coefficient")
-        self.ring = ring
-        self.coeffs = tuple(ring.coerce(c) for c in coeffs)
+        self.coeffs = tuple(_coefficient(c) for c in coeffs)
 
     @classmethod
-    def constant(cls, ring: CoefficientRing, value, order: int) -> "PowerSeries":
+    def constant(cls, value, order: int) -> "PowerSeries":
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        return cls(ring, [ring.coerce(value)] + [ring.zero] * order)
+        return cls([value] + [Fraction(0)] * order)
 
     @property
     def order(self) -> int:
@@ -137,35 +66,30 @@ class PowerSeries:
 
     def _resolved(self, other) -> "PowerSeries | None":
         if isinstance(other, PowerSeries):
-            if other.ring != self.ring:
-                raise ValueError("mixed coefficient rings")
             return other
         try:
-            value = self.ring.coerce(other)
+            return PowerSeries.constant(other, self.order)
         except TypeError:
             return None
-        return PowerSeries.constant(self.ring, value, self.order)
 
     def __add__(self, other):
         other = self._resolved(other)
         if other is None:
             return NotImplemented
         n = min(self.order, other.order)
-        return PowerSeries(self.ring,
-                           [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
+        return PowerSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries(self.ring, [-c for c in self.coeffs])
+        return PowerSeries([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._resolved(other)
         if other is None:
             return NotImplemented
         n = min(self.order, other.order)
-        return PowerSeries(self.ring,
-                           [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
+        return PowerSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
 
     def __rsub__(self, other):
         other = self._resolved(other)
@@ -179,7 +103,7 @@ class PowerSeries:
         if other is None:
             return NotImplemented
         n = min(self.order, other.order)
-        out = [self.ring.zero] * (n + 1)
+        out = [Fraction(0)] * (n + 1)
         for i in range(n + 1):
             a = self.coeffs[i]
             if not a:
@@ -188,7 +112,7 @@ class PowerSeries:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] = out[i + j] + a * b
-        return PowerSeries(self.ring, out)
+        return PowerSeries(out)
 
     __rmul__ = __mul__
 
@@ -196,25 +120,30 @@ class PowerSeries:
         """Series g with self*g = 1 up to the truncation order.
 
         Term-by-term recurrence g_k = -(1/f_0) * sum_{j=1..k} f_j g_{k-j};
-        only the constant term is ever divided by.
+        only the constant term is ever divided by, and it must be a nonzero
+        rational.
         """
-        inv0 = self.ring.invert(self.coeffs[0])
+        f0 = self.coeffs[0]
+        if not isinstance(f0, Fraction) or not f0:
+            raise ZeroDivisionError(
+                f"constant term {f0} is not a nonzero rational; series is not invertible")
+        inv0 = 1 / f0
         out = [inv0]
         for k in range(1, self.order + 1):
-            acc = self.ring.zero
+            acc = Fraction(0)
             for j in range(1, k + 1):
                 fj = self.coeffs[j]
                 if fj:
                     acc = acc + fj * out[k - j]
             out.append(-(inv0 * acc))
-        return PowerSeries(self.ring, out)
+        return PowerSeries(out)
 
     def __pow__(self, exponent: int) -> "PowerSeries":
         if not isinstance(exponent, int):
             raise TypeError("series powers must be integers")
         if exponent < 0:
             return self.invert() ** (-exponent)
-        result = PowerSeries.constant(self.ring, self.ring.one, self.order)
+        result = PowerSeries.constant(1, self.order)
         base = self
         while exponent:
             if exponent & 1:
@@ -226,57 +155,48 @@ class PowerSeries:
 
     def scale_arg(self, scalar) -> "PowerSeries":
         """Substitute h -> c*h: the k-th coefficient picks up a factor c^k."""
-        c = self.ring.coerce(scalar)
+        c = _coefficient(scalar)
         out = []
-        power = self.ring.one
+        power = Fraction(1)
         for k, coeff in enumerate(self.coeffs):
             if k:
                 power = power * c
-            out.append(coeff * power)
-        return PowerSeries(self.ring, out)
+            out.append(coeff * power if coeff else coeff)
+        return PowerSeries(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
         n = min(self.order, other.order)
         return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
     __hash__ = None  # equality ignores coefficients beyond the common order
 
     def __repr__(self) -> str:
-        return f"PowerSeries({self.ring!r}, {list(self.coeffs)!r})"
+        return f"PowerSeries({list(self.coeffs)!r})"
 
 
-def _taylor(order: int, ring: CoefficientRing, coefficient) -> PowerSeries:
+def _taylor(order: int, coefficient) -> PowerSeries:
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    return PowerSeries(ring, [coefficient(k) for k in range(order + 1)])
+    return PowerSeries([coefficient(k) for k in range(order + 1)])
 
 
-def exp_series(order: int, ring: CoefficientRing = RATIONALS) -> PowerSeries:
-    """exp(h): coefficients 1/k!."""
-    return _taylor(order, ring, lambda k: Fraction(1, factorial(k)))
-
-
-def sinh_series(order: int, ring: CoefficientRing = RATIONALS) -> PowerSeries:
+def sinh_series(order: int) -> PowerSeries:
     """sinh(h): coefficients 1/k! for odd k."""
-    return _taylor(order, ring,
-                   lambda k: Fraction(1, factorial(k)) if k % 2 else Fraction(0))
+    return _taylor(order, lambda k: Fraction(1, factorial(k)) if k % 2 else Fraction(0))
 
 
-def cosh_series(order: int, ring: CoefficientRing = RATIONALS) -> PowerSeries:
+def cosh_series(order: int) -> PowerSeries:
     """cosh(h): coefficients 1/k! for even k."""
-    return _taylor(order, ring,
-                   lambda k: Fraction(0) if k % 2 else Fraction(1, factorial(k)))
+    return _taylor(order, lambda k: Fraction(0) if k % 2 else Fraction(1, factorial(k)))
 
 
-def sinhc_half_series(order: int, ring: CoefficientRing = RATIONALS) -> PowerSeries:
+def sinhc_half_series(order: int) -> PowerSeries:
     """sinh(h/2)/(h/2), the unit series 1 + h^2/24 + h^4/1920 + ...
 
     Coefficients 1/(2^k (k+1)!) for even k.  This is the reciprocal factor
     of the A-hat class once its h-pole has been cancelled.
     """
-    return _taylor(order, ring,
+    return _taylor(order,
                    lambda k: Fraction(0) if k % 2 else Fraction(1, 2**k * factorial(k + 1)))

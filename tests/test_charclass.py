@@ -13,9 +13,8 @@ import pytest
 
 from rscount.charclass import (CompleteIntersection, CurvatureClass,
                                a_hat_genus, char_number,
-                               char_number_polynomial, chern_class,
-                               curvature_class, first_chern_coefficient,
-                               is_spin, pontryagin_class, rs_index)
+                               char_number_polynomial, curvature_class,
+                               first_chern_coefficient, is_spin, rs_index)
 from rscount.rings import MultiPoly, binomial
 
 F = Fraction
@@ -39,6 +38,11 @@ class TestCompleteIntersection:
             CompleteIntersection(2, (0,))
         with pytest.raises(ValueError):
             CompleteIntersection(2, (4, -1))
+        # bool is an int subclass, but not a dimension or a degree
+        with pytest.raises(ValueError):
+            CompleteIntersection(2, (True, 3))
+        with pytest.raises(ValueError):
+            CompleteIntersection(True, (4,))
 
 
 class TestFirstChernClass:
@@ -56,46 +60,6 @@ class TestFirstChernClass:
         assert curvature_class(K3) is CurvatureClass.CALABI_YAU
         assert curvature_class(CompleteIntersection(2, (6,))) is CurvatureClass.GENERAL_TYPE
         assert curvature_class(CompleteIntersection(2, (2,))) is CurvatureClass.FANO
-
-
-class TestChernClass:
-    def test_k3_expansion(self):
-        # (1+h)^4 (1+4h)^-1 = 1 + 0h + 6h^2 + ...; c2 paired with
-        # <h^2,[M]> = 4 gives the K3 Euler characteristic 24
-        series = chern_class(K3, 2)
-        assert series.coeffs == (F(1), F(0), F(6))
-        assert series[2] * 4 == 24
-
-    def test_hyperplane_cuts_give_projective_space(self):
-        for m, r in ((2, 1), (3, 2), (5, 3)):
-            series = chern_class(CompleteIntersection(m, (1,) * r), 1)
-            assert series.coeffs == (F(1), F(m + 1))
-
-    def test_quintic_threefold_has_vanishing_c1(self):
-        series = chern_class(CompleteIntersection(3, (5,)), 1)
-        assert series.coeffs == (F(1), F(0))
-
-    def test_coefficients_are_integers(self):
-        for ci in (K3, CompleteIntersection(3, (2, 3)), CompleteIntersection(4, (5, 7))):
-            series = chern_class(ci, ci.m)
-            assert all(c.denominator == 1 for c in series.coeffs)
-
-
-class TestPontryaginClass:
-    def test_k3_expansion(self):
-        # (1+h^2)^4 (1+16h^2)^-1 = 1 - 12h^2; <p1,[M]> = -48, the classical
-        # K3 value (signature -16 = p1/3)
-        series = pontryagin_class(K3, 2)
-        assert series.coeffs == (F(1), F(0), F(-12))
-        assert series[2] * 4 == -48
-
-    def test_odd_coefficients_vanish(self):
-        for ci in (K3, CompleteIntersection(3, (2, 2)), CompleteIntersection(4, (6,))):
-            series = pontryagin_class(ci, 5)
-            assert all(series[k] == 0 for k in range(1, 6, 2))
-
-    def test_order_zero(self):
-        assert pontryagin_class(CompleteIntersection(1, (1,)), 0).coeffs == (F(1),)
 
 
 class TestCharNumber:

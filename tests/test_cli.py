@@ -6,8 +6,13 @@ numeric content.
 """
 
 import json
+from collections import Counter
 
+import pytest
 from conftest import golden, run_cli
+
+from rscount import charclass, cli, rsbounds
+from rscount.rsbounds import SEARCH_BUDGET
 
 
 class TestComputeCommand:
@@ -49,6 +54,25 @@ class TestComputeCommand:
     def test_determinism(self):
         args = ("compute", "--complex-dim", "2", "--degrees", "4")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--complex-dim", "4", "--degrees", "6"),
+        ("product", "--complex-dim", "2", "--degrees", "6", "--torus-dim", "1"),
+    ])
+    def test_each_number_is_computed_once(self, argv, monkeypatch, capsys):
+        calls = Counter()
+        for name in ("char_number", "a_hat_genus"):
+            original = getattr(charclass, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            for module in (charclass, rsbounds, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert cli.main(list(argv)) == 0
+        assert "rsIndexPlus" in capsys.readouterr().out
+        assert calls == {"char_number": 1, "a_hat_genus": 1}
 
 
 class TestTableCommand:
@@ -131,6 +155,12 @@ class TestSearchCommand:
 
     def test_invalid_threshold_exits_1(self):
         assert run_cli("search", "--complex-dim", "2", "--threshold", "0").returncode == 1
+
+    def test_unreachable_threshold_exits_1_at_the_scan_budget(self):
+        proc = run_cli("search", "--complex-dim", "2", "--threshold", str(10**30))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"stops after {SEARCH_BUDGET} degrees" in proc.stderr
 
 
 class TestProductCommand:

@@ -83,6 +83,8 @@ class TestRSLowerBound:
         assert report.spin is True
         assert report.curvature is CurvatureClass.CALABI_YAU
         assert report.charnum == -40
+        assert report.a_hat_genus == 2
+        assert report.rs_index_plus == -38
         assert report.parallel_spinor_deduction == 2
         assert report.bound_plus == 0
         assert report.bound_minus == 38
