@@ -1,9 +1,10 @@
 """Exact characteristic numbers of complete intersections in complex
 projective space, and the Rarita-Schwinger dimension bounds they imply.
 
-Everything is computed in exact arithmetic: arbitrary-precision rationals,
-sparse polynomials in the degrees, and truncated formal power series over
-either, with coefficient extraction replacing any numerical integration.
+Everything is computed in exact arithmetic, with no numerical integration:
+the numbers by a Riemann-Roch sum of binomials, and the characteristic
+polynomial by coefficient extraction from truncated power series over
+sparse polynomials in the degrees.
 """
 
 __version__ = "0.1.0"

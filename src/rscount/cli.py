@@ -12,6 +12,7 @@ inputs where the bound theorem does not apply (non-spin or Fano).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 from math import factorial
@@ -263,8 +264,12 @@ def _cmd_product(args) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # The parser's actions and groups point back at it, so it dies only in a
+    # cyclic collection.  Collect it now, while it is young: otherwise, when
+    # main runs many times in one process, parsers that a collection caught
+    # alive pile up in the old generation until a full collection.
+    gc.collect(0)
     try:
         result, code = args.handler(args)
     except TheoremInapplicableError as exc:

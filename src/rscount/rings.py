@@ -9,26 +9,17 @@ arithmetic is exact; all values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), exact at any size; k > n gives 0.
-
-    Multiplicative formula: after step i the running product equals
-    C(n-k+i, i), so every intermediate division is exact.
-    """
+    """Binomial coefficient C(n, k), exact at any size; k > n gives 0."""
     if n < 0 or k < 0:
         raise ValueError("binomial requires nonnegative arguments")
-    if k > n:
-        return 0
-    k = min(k, n - k)
-    value = 1
-    for i in range(1, k + 1):
-        value = value * (n - k + i) // i
-    return value
+    return comb(n, k)
 
 
 class MultiPoly:

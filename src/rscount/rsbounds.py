@@ -132,7 +132,7 @@ def hypersurface_char_number_closed_form(m: int) -> int:
     """Characteristic number of the degree-(m+2) hypersurface in CP^{m+1},
     in closed form: -2*[C(2m+3, m+1) + 1 - (m+2)^2], for even m.
 
-    An independent route to the series pipeline's value; the two must agree.
+    An independent route to the value of ``char_number``; the two must agree.
     """
     _require_even(m)
     return -2 * (binomial(2 * m + 3, m + 1) + 1 - (m + 2) ** 2)

@@ -13,8 +13,8 @@ from math import factorial, gcd
 
 from conftest import golden, run_cli
 
-from rscount.charclass import (CompleteIntersection, a_hat_genus, char_number,
-                               char_number_polynomial, rs_index)
+from rscount.charclass import (CompleteIntersection, _integrand, a_hat_genus,
+                               char_number, char_number_polynomial, rs_index)
 from rscount.rings import MultiPoly, binomial
 from rscount.rsbounds import (cy_hypersurface_bound_closed_form, exceeds_torus,
                               max_parallel_spinors, rs_lower_bound,
@@ -74,7 +74,8 @@ def test_criterion_3_series_vs_closed_form():
         closed = -2 * (binomial(2 * m + 3, m + 1) + 1 - (m + 2) ** 2)
         ok = ok and char_number(ci) == closed
         ok = ok and rs_lower_bound(ci).bound_total == bound
-    _verdict(3, "series pipeline equals closed form (even m = 2..30)", ok, started)
+        ok = ok and 2 * (m + 2) * _integrand(m, (m + 2,))[m] == closed
+    _verdict(3, "Riemann-Roch sum and series equal closed form (even m = 2..30)", ok, started)
 
 
 def test_criterion_4_hypersurface_polynomial():

@@ -7,11 +7,16 @@ integrand.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rscount.charclass import (CompleteIntersection, CurvatureClass,
+from rscount.charclass import (KOSZUL_TERMS_PER_ORDER, CompleteIntersection,
+                               CurvatureClass, _integrand,
+                               _koszul_coefficients, _pole_free_a_hat,
+                               _riemann_roch_numbers,
                                a_hat_genus, char_number,
                                char_number_polynomial, curvature_class,
                                first_chern_coefficient, is_spin, rs_index)
@@ -108,6 +113,51 @@ class TestCharNumber:
         assert char_number(CompleteIntersection(2, (1, 1))) == F(5, 2)
         assert char_number(CompleteIntersection(4, (2, 4))) == F(-459, 2)
         assert char_number(CompleteIntersection(4, (3, 3))) == F(-2527, 16)
+
+
+class TestRiemannRochRoute:
+    """char_number and a_hat_genus go by the Riemann-Roch sum or, past the
+    Koszul term limit, by series; the series integrand, which shares none
+    of the sum's code, is the oracle for both."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 16), st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    @example(2, [1, 1])         # non-spin: t0 = -3/2, a genuine fraction
+    @example(3, [2, 5])         # odd m, non-spin
+    @example(12, [2, 3, 4, 5, 6])
+    def test_agrees_with_the_series_route(self, m, degrees):
+        ci = CompleteIntersection(m, tuple(degrees))
+        charnum = 2 * prod(degrees) * _integrand(m, degrees)[m]
+        if charnum.denominator == 1:
+            charnum = int(charnum)
+        a_hat = prod(degrees) * _pole_free_a_hat(m, degrees)[m]
+        assert type(char_number(ci)) is type(charnum)
+        assert char_number(ci) == charnum
+        assert type(a_hat_genus(ci)) is Fraction
+        assert a_hat_genus(ci) == a_hat
+        # the Koszul sum itself, whichever route char_number took
+        every_sum = _koszul_coefficients(ci.degrees, 2 ** len(degrees))
+        assert _riemann_roch_numbers(ci, every_sum) == (charnum, a_hat)
+
+    def test_equal_subset_sums_merge(self):
+        # prod (1 - z^2)^19 (1 - z^3): 40 terms where there are 2^20 subsets
+        coeffs = _koszul_coefficients((2,) * 19 + (3,), 40)
+        assert len(coeffs) == 40
+        assert coeffs[0] == 1 and coeffs[41] == 1
+        assert 0 not in coeffs.values()
+        assert _koszul_coefficients((2,) * 19 + (3,), 39) is None
+
+    @pytest.mark.parametrize("degrees", [
+        tuple(2**k for k in range(1, 10)),                  # non-spin
+        tuple(2**k for k in range(1, 9)) + (2**9 + 1,),     # spin
+    ])
+    def test_past_the_term_limit_the_series_route_answers(self, degrees):
+        # distinct powers of two have 2^9 distinct signed subset sums
+        ci = CompleteIntersection(2, degrees)
+        assert _koszul_coefficients(degrees, KOSZUL_TERMS_PER_ORDER * 4) is None
+        every_sum = _koszul_coefficients(degrees, 2**9)
+        assert (char_number(ci), a_hat_genus(ci)) == _riemann_roch_numbers(ci, every_sum)
+        assert char_number(ci) == 2 * prod(degrees) * _integrand(2, degrees)[2]
 
 
 class TestCharNumberPolynomial:

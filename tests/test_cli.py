@@ -5,14 +5,17 @@ captured CLI output, so these tests pin both the byte-level schema and the
 numeric content.
 """
 
+import gc
 import json
 from collections import Counter
+from math import prod
 
 import pytest
 from conftest import golden, run_cli
 
 from rscount import charclass, cli, rsbounds
 from rscount.rsbounds import SEARCH_BUDGET
+from rscount.series import PowerSeries
 
 
 class TestComputeCommand:
@@ -61,6 +64,19 @@ class TestComputeCommand:
     ])
     def test_each_number_is_computed_once(self, argv, monkeypatch, capsys):
         calls = Counter()
+        invert = PowerSeries.invert
+
+        def counted_invert(series):
+            calls["invert"] += 1
+            return invert(series)
+        monkeypatch.setattr(PowerSeries, "invert", counted_invert)
+        koszul = charclass._koszul_coefficients
+
+        def counted_koszul(*args):
+            calls["koszul"] += 1
+            return koszul(*args)
+        monkeypatch.setattr(charclass, "_koszul_coefficients", counted_koszul)
+        charclass._characteristic_numbers.cache_clear()
         for name in ("char_number", "a_hat_genus"):
             original = getattr(charclass, name)
 
@@ -72,7 +88,31 @@ class TestComputeCommand:
                     monkeypatch.setattr(module, name, counted)
         assert cli.main(list(argv)) == 0
         assert "rsIndexPlus" in capsys.readouterr().out
-        assert calls == {"char_number": 1, "a_hat_genus": 1}
+        # one Koszul sum serves both numbers; no "invert" entry, since the
+        # Riemann-Roch route builds no power series
+        assert calls == {"char_number": 1, "a_hat_genus": 1, "koszul": 1}
+
+    def test_parser_is_freed_before_the_command_runs(self, capsys):
+        gc.collect()
+        assert cli.main(["compute", "--complex-dim", "4", "--degrees", "6"]) == 0
+        assert not any(isinstance(o, cli._ExitOneParser) for o in gc.get_objects())
+
+    def test_many_equal_degrees(self, capsys):
+        # 2^20 subsets of the degrees, but 40 distinct signed subset sums
+        argv = ["compute", "--complex-dim", "8", "--degrees", *["2"] * 19, "3"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["degrees"][-1] == 3
+
+    def test_many_distinct_subset_sums_go_by_series(self, capsys):
+        # 2^14 signed subset sums, far past the Koszul term limit at m = 4
+        degrees = [2**k for k in range(1, 14)] + [2**14 - 1]
+        assert cli.main(["compute", "--complex-dim", "4",
+                         "--degrees", *map(str, degrees)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        charnum = 2 * prod(degrees) * charclass._integrand(4, degrees)[4]
+        a_hat = prod(degrees) * charclass._pole_free_a_hat(4, degrees)[4]
+        assert result["charnum"] == str(charnum)
+        assert result["aHatGenus"] == str(a_hat)
 
 
 class TestTableCommand:
@@ -158,6 +198,12 @@ class TestSearchCommand:
 
     def test_unreachable_threshold_exits_1_at_the_scan_budget(self):
         proc = run_cli("search", "--complex-dim", "2", "--threshold", str(10**30))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"stops after {SEARCH_BUDGET} degrees" in proc.stderr
+
+    def test_unreachable_threshold_at_large_m_exits_1_at_the_scan_budget(self):
+        proc = run_cli("search", "--complex-dim", "40", "--threshold", str(10**1000))
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert f"stops after {SEARCH_BUDGET} degrees" in proc.stderr

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rscount.charclass import CompleteIntersection, CurvatureClass
+from rscount.charclass import CompleteIntersection, CurvatureClass, char_number
 from rscount.rsbounds import (TheoremInapplicableError,
                               cy_hypersurface_bound_closed_form, exceeds_torus,
                               find_degree_exceeding,
@@ -156,6 +156,12 @@ class TestClosedForms:
             assert report.charnum < 0
             assert report.bound_total == cy_hypersurface_bound_closed_form(m)
 
+    def test_reach_at_m_400(self):
+        # far past the order the series route reaches in a test's time
+        ci = CompleteIntersection(400, (402,))
+        assert char_number(ci) == hypersurface_char_number_closed_form(400)
+        assert rs_lower_bound(ci).bound_total == cy_hypersurface_bound_closed_form(400)
+
     def test_odd_m_rejected(self):
         for fn in (hypersurface_char_number_closed_form,
                    cy_hypersurface_bound_closed_form, exceeds_torus):
@@ -186,7 +192,6 @@ class TestDegreeSearch:
         assert find_degree_exceeding(4, 1) == 8
 
     def test_found_degree_is_minimal(self):
-        from rscount.charclass import char_number
         threshold = 1000
         found = find_degree_exceeding(2, threshold)
         assert abs(char_number(CompleteIntersection(2, (found,)))) > threshold
