@@ -7,20 +7,31 @@ Applied to spin complete intersections with c_1 <= 0 (where Kaehler-Einstein
 metrics exist) this turns exact characteristic numbers into explicit bounds;
 flat tori supply comparison counts and product constructions for the
 remaining dimensions.
+
+``find_degree_exceeding`` turns the unbounded growth of these numbers along
+hypersurfaces into a concrete degree.  It proves from forward differences
+that |P(a)| increases from some even degree on, then gallops and bisects, so
+it takes about 2*log2(a) evaluations of ``char_number`` rather than a/2.
+Thresholds are limited to THRESHOLD_DIGITS decimal digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .charclass import (CompleteIntersection, CurvatureClass, a_hat_genus,
                         char_number, curvature_class, is_spin, rs_index_from)
 from .rings import binomial
 
-# Even degrees find_degree_exceeding tries before giving up.  Answers at
-# degree 800 for m = 2 take about 400 steps.
-SEARCH_BUDGET = 2000
+# Decimal digits a threshold of find_degree_exceeding may have; 10^1000 is
+# the largest power of ten accepted.  It bounds the search's work and keeps
+# the answer printable: past the first degree tried, the answer's number is a
+# few times one not above the threshold, far inside the 4300 digits Python
+# converts to a string by default.
+THRESHOLD_DIGITS = 1001
+_THRESHOLD_LIMIT = 10 ** THRESHOLD_DIGITS
 
 
 class TheoremInapplicableError(ValueError):
@@ -157,20 +168,72 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
     """Smallest even degree a > m+2 whose hypersurface in CP^{m+1} has
     |characteristic number| > threshold.
 
-    Even a gives a spin hypersurface; a > m+2 makes c_1 negative.  Such an a
-    always exists because the characteristic number is a degree-(m+1)
-    polynomial in a with nonzero leading coefficient, but the scan stops
-    after SEARCH_BUDGET degrees with a ValueError rather than run unbounded.
+    Even a gives a spin hypersurface; a > m+2 makes c_1 negative.  The
+    characteristic number P(a) is a polynomial of degree m+1 in a with
+    nonzero leading coefficient, so such an a always exists.
+
+    The search scans even degrees from m+4 upwards, as a plain scan would.
+    Once the last m+2 values scanned, P(a0), P(a0+2), ..., P(a0+2(m+1)),
+    certify that |P| strictly increases on all even a >= a0 (see
+    ``_increases_from``), it gallops with doubling steps to bracket the
+    threshold and bisects to the smallest even degree beyond it.  The answer
+    is the plain scan's.  The first window certifies for every even m <= 60
+    tested, so the search takes at most m+2 plus about 2*log2(a)
+    evaluations instead of a/2.  Every value comes from ``char_number``.
+    Thresholds must be positive and have at most THRESHOLD_DIGITS decimal
+    digits; others raise ValueError.
     """
     _require_even(m)
     if threshold < 1:
         raise ValueError("threshold must be positive")
-    for a in range(m + 4, m + 4 + 2 * SEARCH_BUDGET, 2):
-        if abs(char_number(CompleteIntersection(m, (a,)))) > threshold:
-            return a
-    raise ValueError(
-        f"no even degree up to {a} beats threshold {threshold} for m={m}; "
-        f"the search stops after {SEARCH_BUDGET} degrees")
+    if threshold >= _THRESHOLD_LIMIT:
+        raise ValueError(
+            f"threshold has more than THRESHOLD_DIGITS = {THRESHOLD_DIGITS} decimal digits")
+    value = cache(lambda a: char_number(CompleteIntersection(m, (a,))))
+    a = m + 4
+    while abs(value(a)) <= threshold:
+        window = range(a - 2 * (m + 1), a + 1, 2)
+        if window.start >= m + 4 and _increases_from([value(b) for b in window]):
+            return _first_beyond(value, a, threshold)
+        a += 2
+    return a
+
+
+def _first_beyond(value, lo: int, threshold: int) -> int:
+    """Smallest even a > lo with |value(a)| > threshold, given that
+    |value(lo)| <= threshold and |value| increases on even a >= lo:
+    gallop with doubling steps, then bisect."""
+    step = 2
+    while abs(value(lo + step)) <= threshold:
+        lo += step
+        step *= 2
+    hi = lo + step
+    while hi - lo > 2:
+        mid = lo + (hi - lo) // 4 * 2
+        if abs(value(mid)) > threshold:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _increases_from(values: list[int]) -> bool:
+    """Whether |P| strictly increases on a0, a0+2, a0+4, ..., given
+    values[j] = P(a0 + 2j) for j = 0..d of a polynomial P of degree <= d.
+
+    The step-2 forward differences D^k of these values at a0 give
+    P(a0 + 2j) = sum_k C(j, k) D^k, and D^k = 0 for k > d.  If D^0 != 0 and
+    every D^k has the sign s of D^0, then s*P(a0) > 0 and each step
+    s*(P(a0 + 2j + 2) - P(a0 + 2j)) = s * sum_k C(j, k) D^{k+1} >= s*D^1 > 0,
+    so |P| = s*P strictly increases.
+    """
+    sign = (values[0] > 0) - (values[0] < 0)
+    row = values
+    while row:
+        if sign * row[0] <= 0:
+            return False
+        row = [after - before for before, after in zip(row, row[1:])]
+    return True
 
 
 def exceeds_torus(m: int) -> bool:

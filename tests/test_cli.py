@@ -14,7 +14,8 @@ import pytest
 from conftest import golden, run_cli
 
 from rscount import charclass, cli, rsbounds
-from rscount.rsbounds import SEARCH_BUDGET
+from rscount.charclass import CompleteIntersection, char_number
+from rscount.rsbounds import THRESHOLD_DIGITS
 from rscount.series import PowerSeries
 
 
@@ -196,17 +197,34 @@ class TestSearchCommand:
     def test_invalid_threshold_exits_1(self):
         assert run_cli("search", "--complex-dim", "2", "--threshold", "0").returncode == 1
 
-    def test_unreachable_threshold_exits_1_at_the_scan_budget(self):
-        proc = run_cli("search", "--complex-dim", "2", "--threshold", str(10**30))
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert f"stops after {SEARCH_BUDGET} degrees" in proc.stderr
+    @staticmethod
+    def assert_minimal_degree(proc, m, threshold):
+        assert proc.returncode == 0
+        result = json.loads(proc.stdout)["result"]
+        degree = result["degree"]
+        charnum = char_number(CompleteIntersection(m, (degree,)))
+        assert result["charnum"] == str(charnum)
+        assert abs(charnum) > threshold
+        assert abs(char_number(CompleteIntersection(m, (degree - 2,)))) <= threshold
 
-    def test_unreachable_threshold_at_large_m_exits_1_at_the_scan_budget(self):
+    def test_threshold_10_to_30_returns_a_minimal_degree(self):
+        proc = run_cli("search", "--complex-dim", "2", "--threshold", str(10**30))
+        self.assert_minimal_degree(proc, 2, 10**30)
+
+    def test_threshold_10_to_1000_at_large_m_returns_a_minimal_degree(self):
         proc = run_cli("search", "--complex-dim", "40", "--threshold", str(10**1000))
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert f"stops after {SEARCH_BUDGET} degrees" in proc.stderr
+        self.assert_minimal_degree(proc, 40, 10**1000)
+
+    def test_threshold_digit_budget(self):
+        largest = 10**THRESHOLD_DIGITS - 1
+        proc = run_cli("search", "--complex-dim", "2", "--threshold", str(largest))
+        self.assert_minimal_degree(proc, 2, largest)
+        # one digit more, and 4300 digits, the most int() parses by default
+        for digits in (THRESHOLD_DIGITS + 1, 4300):
+            proc = run_cli("search", "--complex-dim", "2", "--threshold", "9" * digits)
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert f"THRESHOLD_DIGITS = {THRESHOLD_DIGITS}" in proc.stderr
 
 
 class TestProductCommand:

@@ -1,11 +1,14 @@
 """Tests for the Rarita-Schwinger bound machinery and the reference tables."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rscount import rsbounds
 from rscount.charclass import CompleteIntersection, CurvatureClass, char_number
-from rscount.rsbounds import (TheoremInapplicableError,
+from rscount.rsbounds import (THRESHOLD_DIGITS, TheoremInapplicableError,
                               cy_hypersurface_bound_closed_form, exceeds_torus,
                               find_degree_exceeding,
                               hypersurface_char_number_closed_form,
@@ -180,6 +183,18 @@ class TestProductBound:
             product_bound(-1, 2)
 
 
+def hypersurface_number(m, a):
+    return char_number(CompleteIntersection(m, (a,)))
+
+
+def linear_scan(m, threshold, value):
+    """The reference search: every even degree from m+4, in order."""
+    a = m + 4
+    while abs(value(a)) <= threshold:
+        a += 2
+    return a
+
+
 class TestDegreeSearch:
     def test_first_admissible_degree(self):
         assert find_degree_exceeding(2, 100) == 6
@@ -198,11 +213,61 @@ class TestDegreeSearch:
         for a in range(6, found, 2):
             assert abs(char_number(CompleteIntersection(2, (a,)))) <= threshold
 
+    @pytest.mark.parametrize("m", range(2, 13, 2))
+    def test_matches_the_linear_scan(self, m):
+        value = cache(lambda a: hypersurface_number(m, a))
+        thresholds = {1}
+        for a in range(m + 4, m + 601, 2):
+            thresholds |= {abs(value(a)), abs(value(a)) - 1}
+        for threshold in sorted(thresholds - {0}):
+            assert find_degree_exceeding(m, threshold) == linear_scan(m, threshold, value)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_failed_certificates_fall_back_to_the_scan(self, m, monkeypatch):
+        certify, refusals, calls = rsbounds._increases_from, 5, []
+
+        def refuse_first(values):
+            calls.append(values)
+            return len(calls) > refusals and certify(values)
+
+        monkeypatch.setattr(rsbounds, "_increases_from", refuse_first)
+        value = cache(lambda a: hypersurface_number(m, a))
+        for a in range(m + 4, m + 200, 14):
+            for threshold in (abs(value(a)), abs(value(a)) - 1):
+                calls.clear()
+                answer = linear_scan(m, threshold, value)
+                assert find_degree_exceeding(m, threshold) == answer
+                # past the first window and the refused ones, the certificate
+                # was asked once more, and held
+                if answer > 3 * m + 6 + 2 * refusals:
+                    assert len(calls) == refusals + 1
+
+    def test_certificate_holds_at_the_first_degree(self):
+        for m in range(2, 61, 2):
+            values = [hypersurface_number(m, m + 4 + 2 * j) for j in range(m + 2)]
+            assert rsbounds._increases_from(values), m
+
+    def test_certificate_needs_every_difference_of_one_sign(self):
+        # values of 1 + j + j(j-1)/2 and their negatives: differences 1, 1, 1
+        assert rsbounds._increases_from([1, 2, 4])
+        assert rsbounds._increases_from([-1, -2, -4])
+        assert not rsbounds._increases_from([0, 1, 3])     # D^0 = 0
+        assert not rsbounds._increases_from([3, 2, 4])     # D^1 < 0
+        assert not rsbounds._increases_from([1, 3, 4])     # D^2 < 0
+
+    @pytest.mark.parametrize("m, threshold", [(2, 10**100), (40, 10**1000)])
+    def test_reach(self, m, threshold):
+        found = find_degree_exceeding(m, threshold)
+        assert abs(hypersurface_number(m, found)) > threshold
+        assert abs(hypersurface_number(m, found - 2)) <= threshold
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             find_degree_exceeding(3, 10)
         with pytest.raises(ValueError):
             find_degree_exceeding(2, 0)
+        with pytest.raises(ValueError, match="THRESHOLD_DIGITS"):
+            find_degree_exceeding(2, 10**THRESHOLD_DIGITS)
 
 
 class TestTorusComparison:
