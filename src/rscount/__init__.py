@@ -9,8 +9,9 @@ sparse polynomials in the degrees.
 
 __version__ = "0.1.0"
 
-from .charclass import (CompleteIntersection, CurvatureClass, a_hat_genus,
-                        char_number, char_number_polynomial, curvature_class,
+from .charclass import (CompleteIntersection, CurvatureClass,
+                        InvalidInputError, a_hat_genus, char_number,
+                        char_number_polynomial, curvature_class,
                         first_chern_coefficient, is_spin, rs_index)
 from .rings import MultiPoly, binomial
 from .rsbounds import (RSBoundReport, TheoremInapplicableError,
@@ -25,6 +26,7 @@ from .series import (PowerSeries, cosh_series, sinh_series,
 __all__ = [
     "CompleteIntersection",
     "CurvatureClass",
+    "InvalidInputError",
     "MultiPoly",
     "PowerSeries",
     "RSBoundReport",

@@ -67,6 +67,11 @@ Chirality = Literal["plus", "minus"]
 KOSZUL_TERMS_PER_ORDER = 8
 
 
+class InvalidInputError(ValueError):
+    """An argument outside the domain of a library function: the caller's
+    input is at fault, not the computation."""
+
+
 class CurvatureClass(enum.Enum):
     """Sign of the first Chern class; selects the Einstein-metric regime."""
 
@@ -96,12 +101,12 @@ class CompleteIntersection:
 
     def __post_init__(self):
         if not _is_positive_int(self.m):
-            raise ValueError("complex dimension must be a positive integer")
+            raise InvalidInputError("complex dimension must be a positive integer")
         degrees = tuple(self.degrees)
         if not degrees:
-            raise ValueError("at least one degree is required")
+            raise InvalidInputError("at least one degree is required")
         if not all(_is_positive_int(a) for a in degrees):
-            raise ValueError("degrees must be positive integers")
+            raise InvalidInputError("degrees must be positive integers")
         object.__setattr__(self, "degrees", tuple(sorted(degrees)))
 
     @property

@@ -6,7 +6,8 @@ polynomial and closed-form identities, ``search`` for a degree with large
 characteristic number, and ``product`` to bound products with flat tori.
 
 Exit codes: 0 success, 1 usage errors and failed verifications, 2 for valid
-inputs where the bound theorem does not apply (non-spin or Fano).
+inputs where the bound theorem does not apply (non-spin or Fano).  Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import __version__
-from .charclass import (CompleteIntersection, char_number,
-                        char_number_polynomial)
+from .charclass import (CompleteIntersection, InvalidInputError,
+                        char_number, char_number_polynomial)
 from .output import FORMATS, render
 from .rings import MultiPoly
 from .rsbounds import (RSBoundReport, TheoremInapplicableError,
@@ -32,6 +33,33 @@ from .rsbounds import (RSBoundReport, TheoremInapplicableError,
 
 class _UsageError(Exception):
     """Semantically invalid command parameters (exit code 1)."""
+
+
+# Decimal digits per divmod step in _decimal; below 640, the smallest limit
+# sys.set_int_max_str_digits accepts other than 0 (no limit).
+_CHUNK_DIGITS = 600
+
+
+def _decimal(value: int | Fraction) -> str:
+    """str(value) for an exact number, also past the interpreter's limit on
+    int-to-string conversion (4300 digits by default), which stays in place
+    so that parsing keeps its protection."""
+    if isinstance(value, Fraction):
+        numerator = _decimal(value.numerator)
+        if value.denominator == 1:
+            return numerator
+        return f"{numerator}/{_decimal(value.denominator)}"
+    try:
+        return str(value)
+    except ValueError:  # over the limit
+        pass
+    sign, rest = ("-", -value) if value < 0 else ("", value)
+    chunks = []
+    while rest:
+        rest, chunk = divmod(rest, 10 ** _CHUNK_DIGITS)
+        chunks.append(chunk)
+    return sign + str(chunks.pop()) + "".join(
+        f"{chunk:0{_CHUNK_DIGITS}d}" for chunk in reversed(chunks))
 
 
 class _ExitOneParser(argparse.ArgumentParser):
@@ -111,15 +139,15 @@ def _report_dict(report: RSBoundReport, include_index: bool) -> dict:
         "n": report.n,
         "spin": report.spin,
         "curvature": report.curvature.value,
-        "charnum": str(report.charnum),
+        "charnum": _decimal(report.charnum),
     }
     if include_index:
-        result["aHatGenus"] = str(report.a_hat_genus)
-        result["rsIndexPlus"] = str(report.rs_index_plus)
-    result["deduction"] = str(report.parallel_spinor_deduction)
-    result["boundPlus"] = str(report.bound_plus)
-    result["boundMinus"] = str(report.bound_minus)
-    result["boundTotal"] = str(report.bound_total)
+        result["aHatGenus"] = _decimal(report.a_hat_genus)
+        result["rsIndexPlus"] = _decimal(report.rs_index_plus)
+    result["deduction"] = _decimal(report.parallel_spinor_deduction)
+    result["boundPlus"] = _decimal(report.bound_plus)
+    result["boundMinus"] = _decimal(report.bound_minus)
+    result["boundTotal"] = _decimal(report.bound_total)
     return result
 
 
@@ -135,7 +163,7 @@ def _cmd_table(args) -> tuple[dict, int]:
             raise _UsageError("table parallel-spinors requires --max-n")
         if args.max_n < 1:
             raise _UsageError("--max-n must be >= 1")
-        rows = [{"n": n, "parallelSpinors": str(max_parallel_spinors(n))}
+        rows = [{"n": n, "parallelSpinors": _decimal(max_parallel_spinors(n))}
                 for n in range(1, args.max_n + 1)]
         return {"name": "parallel-spinors", "maxN": args.max_n, "rows": rows}, 0
     if args.max_m is None:
@@ -143,8 +171,8 @@ def _cmd_table(args) -> tuple[dict, int]:
     if args.max_m < 2 or args.max_m % 2:
         raise _UsageError("--max-m must be an even integer >= 2")
     rows = [{"m": m,
-             "rsBound": str(cy_hypersurface_bound_closed_form(m)),
-             "torusRS": str(torus_rs_dimension(2 * m))}
+             "rsBound": _decimal(cy_hypersurface_bound_closed_form(m)),
+             "torusRS": _decimal(torus_rs_dimension(2 * m))}
             for m in range(2, args.max_m + 1, 2)]
     return {"name": "calabi-yau", "maxM": args.max_m, "rows": rows}, 0
 
@@ -208,7 +236,7 @@ def _verify_hypersurface_poly(m: int) -> dict:
         _checked(checks, "degree equals m+1", poly.degree == m + 1)
         _checked(checks, "leading coefficient matches closed form",
                  leading_coefficient == expected)
-        leading = str(leading_coefficient)
+        leading = _decimal(leading_coefficient)
     return {"suite": "hypersurface-poly", "m": m, "degree": poly.degree,
             "leadingCoefficient": leading, "checks": checks,
             "allPass": all(c["pass"] for c in checks)}
@@ -242,9 +270,9 @@ def _cmd_search(args) -> tuple[dict, int]:
     report = rs_lower_bound(CompleteIntersection(m, (degree,)))
     result = {
         "m": m,
-        "threshold": str(args.threshold),
+        "threshold": _decimal(args.threshold),
         "degree": degree,
-        "charnum": str(report.charnum),
+        "charnum": _decimal(report.charnum),
         "report": _report_dict(report, include_index=False),
     }
     return result, 0
@@ -257,8 +285,8 @@ def _cmd_product(args) -> tuple[dict, int]:
     report = rs_lower_bound(ci)
     result = _report_dict(report, include_index=True)
     result["torusDim"] = args.torus_dim
-    result["torusParallelSpinors"] = str(torus_parallel_spinors(args.torus_dim))
-    result["productBound"] = str(product_bound(report.bound_total, args.torus_dim))
+    result["torusParallelSpinors"] = _decimal(torus_parallel_spinors(args.torus_dim))
+    result["productBound"] = _decimal(product_bound(report.bound_total, args.torus_dim))
     result["totalRealDimension"] = report.n + args.torus_dim
     return result, 0
 
@@ -275,7 +303,7 @@ def main(argv=None) -> int:
     except TheoremInapplicableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

@@ -9,10 +9,12 @@ flat tori supply comparison counts and product constructions for the
 remaining dimensions.
 
 ``find_degree_exceeding`` turns the unbounded growth of these numbers along
-hypersurfaces into a concrete degree.  It proves from forward differences
-that |P(a)| increases from some even degree on, then gallops and bisects, so
-it takes about 2*log2(a) evaluations of ``char_number`` rather than a/2.
-Thresholds are limited to THRESHOLD_DIGITS decimal digits.
+hypersurfaces into a concrete degree.  It scans even degrees with
+``char_number`` until the forward differences of the last m+2 values prove
+that |P(a)| increases from there on.  Those m+2 values fix the polynomial P,
+so it then gallops and bisects on P's Newton form in exact integers, with no
+further ``char_number`` calls: at most m+2 of them when the first window
+certifies.  Thresholds are limited to THRESHOLD_DIGITS decimal digits.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .charclass import (CompleteIntersection, CurvatureClass, a_hat_genus,
-                        char_number, curvature_class, is_spin, rs_index_from)
+from .charclass import (CompleteIntersection, CurvatureClass,
+                        InvalidInputError, a_hat_genus, char_number,
+                        curvature_class, is_spin, rs_index_from)
 from .rings import binomial
 
 # Decimal digits a threshold of find_degree_exceeding may have; 10^1000 is
@@ -172,29 +175,32 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
     characteristic number P(a) is a polynomial of degree m+1 in a with
     nonzero leading coefficient, so such an a always exists.
 
-    The search scans even degrees from m+4 upwards, as a plain scan would.
-    Once the last m+2 values scanned, P(a0), P(a0+2), ..., P(a0+2(m+1)),
-    certify that |P| strictly increases on all even a >= a0 (see
-    ``_increases_from``), it gallops with doubling steps to bracket the
-    threshold and bisects to the smallest even degree beyond it.  The answer
-    is the plain scan's.  The first window certifies for every even m <= 60
-    tested, so the search takes at most m+2 plus about 2*log2(a)
-    evaluations instead of a/2.  Every value comes from ``char_number``.
-    Thresholds must be positive and have at most THRESHOLD_DIGITS decimal
-    digits; others raise ValueError.
+    The search scans even degrees from m+4 upwards, as a plain scan would,
+    taking each value from ``char_number``.  Once the last m+2 values
+    scanned, P(a0), P(a0+2), ..., P(a0+2(m+1)), certify that |P| strictly
+    increases on all even a >= a0 (see ``_increases_from``), their forward
+    differences give P exactly on every even a >= a0 (see ``_newton_form``).
+    On that form it gallops with doubling steps to bracket the threshold and
+    bisects to the smallest even degree beyond it, in exact integers.  The
+    answer is the plain scan's.  The first window certifies for every even
+    m <= 60 tested, so ``char_number`` runs at most m+2 times.  Thresholds
+    must be positive and have at most THRESHOLD_DIGITS decimal digits; others
+    raise InvalidInputError.
     """
     _require_even(m)
     if threshold < 1:
-        raise ValueError("threshold must be positive")
+        raise InvalidInputError("threshold must be positive")
     if threshold >= _THRESHOLD_LIMIT:
-        raise ValueError(
+        raise InvalidInputError(
             f"threshold has more than THRESHOLD_DIGITS = {THRESHOLD_DIGITS} decimal digits")
     value = cache(lambda a: char_number(CompleteIntersection(m, (a,))))
     a = m + 4
     while abs(value(a)) <= threshold:
-        window = range(a - 2 * (m + 1), a + 1, 2)
-        if window.start >= m + 4 and _increases_from([value(b) for b in window]):
-            return _first_beyond(value, a, threshold)
+        a0 = a - 2 * (m + 1)
+        if a0 >= m + 4:
+            differences = _increases_from([value(b) for b in range(a0, a + 1, 2)])
+            if differences:
+                return _first_beyond(_newton_form(a0, differences), a, threshold)
         a += 2
     return a
 
@@ -217,23 +223,39 @@ def _first_beyond(value, lo: int, threshold: int) -> int:
     return hi
 
 
-def _increases_from(values: list[int]) -> bool:
-    """Whether |P| strictly increases on a0, a0+2, a0+4, ..., given
+def _increases_from(values: list[int]) -> list[int] | None:
+    """The step-2 forward differences D^0..D^d at a0 if they prove that |P|
+    strictly increases on a0, a0+2, a0+4, ..., else None, given
     values[j] = P(a0 + 2j) for j = 0..d of a polynomial P of degree <= d.
 
-    The step-2 forward differences D^k of these values at a0 give
-    P(a0 + 2j) = sum_k C(j, k) D^k, and D^k = 0 for k > d.  If D^0 != 0 and
-    every D^k has the sign s of D^0, then s*P(a0) > 0 and each step
+    The differences give P(a0 + 2j) = sum_k C(j, k) D^k, and D^k = 0 for
+    k > d.  If D^0 != 0 and every D^k has the sign s of D^0, then
+    s*P(a0) > 0 and each step
     s*(P(a0 + 2j + 2) - P(a0 + 2j)) = s * sum_k C(j, k) D^{k+1} >= s*D^1 > 0,
     so |P| = s*P strictly increases.
     """
     sign = (values[0] > 0) - (values[0] < 0)
+    differences = []
     row = values
     while row:
         if sign * row[0] <= 0:
-            return False
+            return None
+        differences.append(row[0])
         row = [after - before for before, after in zip(row, row[1:])]
-    return True
+    return differences
+
+
+def _newton_form(a0: int, differences: list[int]):
+    """P on even a >= a0, from its step-2 forward differences D^k at a0:
+    P(a0 + 2j) = sum_k C(j, k) D^k, exactly, for P of degree < len(D)."""
+    def value(a: int) -> int:
+        j = (a - a0) // 2
+        total, binom = 0, 1
+        for k, d in enumerate(differences):
+            total += binom * d
+            binom = binom * (j - k) // (k + 1)
+        return total
+    return value
 
 
 def exceeds_torus(m: int) -> bool:
@@ -245,4 +267,4 @@ def exceeds_torus(m: int) -> bool:
 
 def _require_even(m: int) -> None:
     if m < 2 or m % 2:
-        raise ValueError("m must be an even integer >= 2")
+        raise InvalidInputError("m must be an even integer >= 2")

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rscount.charclass import (KOSZUL_TERMS_PER_ORDER, CompleteIntersection,
-                               CurvatureClass, _integrand,
+                               CurvatureClass, InvalidInputError, _integrand,
                                _koszul_coefficients, _pole_free_a_hat,
                                _riemann_roch_numbers,
                                a_hat_genus, char_number,
@@ -35,18 +35,18 @@ class TestCompleteIntersection:
         assert ci.real_dimension == 4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             CompleteIntersection(0, (4,))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             CompleteIntersection(2, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             CompleteIntersection(2, (0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             CompleteIntersection(2, (4, -1))
         # bool is an int subclass, but not a dimension or a degree
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             CompleteIntersection(2, (True, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             CompleteIntersection(True, (4,))
 
 

@@ -5,9 +5,12 @@ captured CLI output, so these tests pin both the byte-level schema and the
 numeric content.
 """
 
+import contextlib
 import gc
 import json
+import sys
 from collections import Counter
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -15,7 +18,8 @@ from conftest import golden, run_cli
 
 from rscount import charclass, cli, rsbounds
 from rscount.charclass import CompleteIntersection, char_number
-from rscount.rsbounds import THRESHOLD_DIGITS
+from rscount.rsbounds import (THRESHOLD_DIGITS,
+                              hypersurface_char_number_closed_form)
 from rscount.series import PowerSeries
 
 
@@ -114,6 +118,58 @@ class TestComputeCommand:
         a_hat = prod(degrees) * charclass._pole_free_a_hat(4, degrees)[4]
         assert result["charnum"] == str(charnum)
         assert result["aHatGenus"] == str(a_hat)
+
+
+@contextlib.contextmanager
+def str_digit_limit(digits):
+    """Sets the interpreter's int-to-string digit limit in this process."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestNumbersPastTheStringLimit:
+    """From about m = 7200 the characteristic numbers pass 4300 digits, the
+    interpreter's default limit on int-to-string conversion."""
+
+    def test_decimal_text_equals_str(self):
+        values = [0, 7, -7, 10**599, 10**600 - 1, 10**600, 10**5000,
+                  -(10**5000) - 1, 3**20000, Fraction(10**4400),
+                  Fraction(-(10**4400) - 3, 2**15000), Fraction(5, 2)]
+        # 640 is the smallest limit other than none
+        with str_digit_limit(640):
+            texts = [cli._decimal(value) for value in values]
+        with str_digit_limit(0):
+            assert texts == [str(value) for value in values]
+
+    @pytest.mark.parametrize("argv, degree", [
+        (("compute", "--complex-dim", "7200", "--degrees", "7202"), 7202),
+        (("search", "--complex-dim", "7200", "--threshold", "1"), 7204)])
+    def test_cli_prints_them(self, argv, degree):
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, proc.stderr
+        with str_digit_limit(0):
+            charnum = int(json.loads(proc.stdout)["result"]["charnum"])
+            assert len(str(charnum)) > 4300
+        assert charnum == char_number(CompleteIntersection(7200, (degree,)))
+        if degree == 7202:
+            assert charnum == hypersurface_char_number_closed_form(7200)
+
+
+class TestErrorReporting:
+    def test_invalid_library_input_exits_1(self, capsys):
+        assert cli.main(["compute", "--complex-dim", "0", "--degrees", "4"]) == 1
+        assert "complex dimension" in capsys.readouterr().err
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        def broken(ci):
+            raise ValueError("internal failure")
+        monkeypatch.setattr(cli, "rs_lower_bound", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            cli.main(["compute", "--complex-dim", "2", "--degrees", "4"])
 
 
 class TestTableCommand:

@@ -1,5 +1,6 @@
 """Tests for the Rarita-Schwinger bound machinery and the reference tables."""
 
+import random
 from functools import cache
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rscount import rsbounds
-from rscount.charclass import CompleteIntersection, CurvatureClass, char_number
+from rscount.charclass import (CompleteIntersection, CurvatureClass,
+                               InvalidInputError, char_number)
 from rscount.rsbounds import (THRESHOLD_DIGITS, TheoremInapplicableError,
                               cy_hypersurface_bound_closed_form, exceeds_torus,
                               find_degree_exceeding,
@@ -228,7 +230,7 @@ class TestDegreeSearch:
 
         def refuse_first(values):
             calls.append(values)
-            return len(calls) > refusals and certify(values)
+            return certify(values) if len(calls) > refusals else None
 
         monkeypatch.setattr(rsbounds, "_increases_from", refuse_first)
         value = cache(lambda a: hypersurface_number(m, a))
@@ -249,11 +251,39 @@ class TestDegreeSearch:
 
     def test_certificate_needs_every_difference_of_one_sign(self):
         # values of 1 + j + j(j-1)/2 and their negatives: differences 1, 1, 1
-        assert rsbounds._increases_from([1, 2, 4])
-        assert rsbounds._increases_from([-1, -2, -4])
-        assert not rsbounds._increases_from([0, 1, 3])     # D^0 = 0
-        assert not rsbounds._increases_from([3, 2, 4])     # D^1 < 0
-        assert not rsbounds._increases_from([1, 3, 4])     # D^2 < 0
+        assert rsbounds._increases_from([1, 2, 4]) == [1, 1, 1]
+        assert rsbounds._increases_from([-1, -2, -4]) == [-1, -1, -1]
+        assert rsbounds._increases_from([0, 1, 3]) is None     # D^0 = 0
+        assert rsbounds._increases_from([3, 2, 4]) is None     # D^1 < 0
+        assert rsbounds._increases_from([1, 3, 4]) is None     # D^2 < 0
+
+    @pytest.mark.parametrize("m", range(2, 13, 2))
+    def test_newton_form_equals_char_number(self, m):
+        a0 = m + 4
+        window = [hypersurface_number(m, a0 + 2 * j) for j in range(m + 2)]
+        newton = rsbounds._newton_form(a0, rsbounds._increases_from(window))
+        rng = random.Random(m)
+        degrees = list(range(a0, a0 + 4 * (m + 2), 2))
+        degrees += [2 * rng.randrange(a0 // 2, 10**digits // 2)
+                    for digits in (3, 10, 30, 100, 300) for _ in range(4)]
+        for a in degrees:
+            assert newton(a) == hypersurface_number(m, a), a
+
+    @pytest.mark.parametrize("m, threshold, calls", [
+        (2, 10**30, 4), (2, 10**1000, 4), (40, 10**1000, 42)])
+    def test_char_number_runs_only_at_scanned_degrees(self, m, threshold, calls,
+                                                       monkeypatch):
+        # the first window certifies, so only its m+2 degrees are evaluated
+        evaluated = []
+
+        def counted(ci):
+            evaluated.append(ci.degrees[0])
+            return char_number(ci)
+        monkeypatch.setattr(rsbounds, "char_number", counted)
+        found = find_degree_exceeding(m, threshold)
+        assert evaluated == list(range(m + 4, m + 4 + 2 * calls, 2))
+        assert abs(hypersurface_number(m, found)) > threshold
+        assert abs(hypersurface_number(m, found - 2)) <= threshold
 
     @pytest.mark.parametrize("m, threshold", [(2, 10**100), (40, 10**1000)])
     def test_reach(self, m, threshold):
@@ -262,11 +292,11 @@ class TestDegreeSearch:
         assert abs(hypersurface_number(m, found - 2)) <= threshold
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             find_degree_exceeding(3, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             find_degree_exceeding(2, 0)
-        with pytest.raises(ValueError, match="THRESHOLD_DIGITS"):
+        with pytest.raises(InvalidInputError, match="THRESHOLD_DIGITS"):
             find_degree_exceeding(2, 10**THRESHOLD_DIGITS)
 
 
