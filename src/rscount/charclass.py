@@ -80,9 +80,18 @@ class CurvatureClass(enum.Enum):
     GENERAL_TYPE = "general_type"
 
 
-def _is_positive_int(value) -> bool:
+def _is_nonnegative_int(value) -> bool:
     # bool is an int subclass, but True is not a dimension or a degree
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_positive_int(value) -> bool:
+    return _is_nonnegative_int(value) and value >= 1
+
+
+def _require_positive(value, name: str) -> None:
+    if not _is_positive_int(value):
+        raise InvalidInputError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,7 @@ class CompleteIntersection:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_positive_int(self.m):
-            raise InvalidInputError("complex dimension must be a positive integer")
+        _require_positive(self.m, "complex dimension")
         degrees = tuple(self.degrees)
         if not degrees:
             raise InvalidInputError("at least one degree is required")
@@ -270,8 +278,8 @@ def char_number_polynomial(m: int, r: int) -> MultiPoly:
     the 2*a_1...a_r prefactor.  For even m this is symmetric of degree m+1;
     for odd m it is identically zero.
     """
-    if m < 1 or r < 1:
-        raise ValueError("dimension and codimension must be positive")
+    _require_positive(m, "dimension m")
+    _require_positive(r, "codimension r")
     variables = [MultiPoly.variable(i, r) for i in range(r)]
     return 2 * prod(variables) * _integrand(m, variables)[m]
 
@@ -289,9 +297,9 @@ def rs_index(ci: CompleteIntersection, chirality: Chirality) -> int:
     structure to be defined.
     """
     if chirality not in ("plus", "minus"):
-        raise ValueError("chirality must be 'plus' or 'minus'")
+        raise InvalidInputError("chirality must be 'plus' or 'minus'")
     if not is_spin(ci):
-        raise ValueError(f"{ci} admits no spin structure; the index is undefined")
+        raise InvalidInputError(f"{ci} admits no spin structure; the index is undefined")
     value = rs_index_from(ci, char_number(ci), a_hat_genus(ci))
     return value if chirality == "plus" else -value
 

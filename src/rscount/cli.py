@@ -1,13 +1,14 @@
-"""Command-line interface.
+"""Command-line interface: parses arguments, calls the library, and renders
+what it returns.  Subcommands: ``compute`` a bound report for one complete
+intersection, ``table`` to emit the parallel-spinor and Calabi-Yau tables,
+``verify`` to run a suite of ``rscount.verify``, ``search`` for a degree
+with large characteristic number, and ``product`` to bound products with
+flat tori.
 
-Subcommands: ``compute`` a bound report for one complete intersection,
-``table`` to emit the parallel-spinor and Calabi-Yau tables, ``verify`` the
-polynomial and closed-form identities, ``search`` for a degree with large
-characteristic number, and ``product`` to bound products with flat tori.
-
-Exit codes: 0 success, 1 usage errors and failed verifications, 2 for valid
-inputs where the bound theorem does not apply (non-spin or Fano).  Any other
-exception is a bug and propagates.
+Exit codes: 0 success, 1 usage errors (a missing flag, a table range, or
+input the library rejects with InvalidInputError) and failed verifications,
+2 for valid inputs where the bound theorem does not apply (non-spin or
+Fano).  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ import argparse
 import gc
 import sys
 from fractions import Fraction
-from math import factorial
 
-from . import __version__
-from .charclass import (CompleteIntersection, InvalidInputError,
-                        char_number, char_number_polynomial)
+from . import __version__, verify
+from .charclass import CompleteIntersection, InvalidInputError
+from .charclass import char_number  # noqa: F401  (bench/test_bench.py traces it)
 from .output import FORMATS, render
-from .rings import MultiPoly
 from .rsbounds import (RSBoundReport, TheoremInapplicableError,
-                       cy_hypersurface_bound_closed_form, exceeds_torus,
-                       find_degree_exceeding,
-                       hypersurface_char_number_closed_form,
+                       cy_hypersurface_bound_closed_form, find_degree_exceeding,
                        max_parallel_spinors, product_bound, rs_lower_bound,
                        torus_parallel_spinors, torus_rs_dimension)
 
@@ -152,140 +149,78 @@ def _report_dict(report: RSBoundReport, include_index: bool) -> dict:
 
 
 def _cmd_compute(args) -> tuple[dict, int]:
-    ci = CompleteIntersection(args.complex_dim, tuple(args.degrees))
-    report = rs_lower_bound(ci)
+    report = rs_lower_bound(CompleteIntersection(args.complex_dim, tuple(args.degrees)))
     return _report_dict(report, include_index=True), 0
+
+
+# Largest --max-n and --max-m of table: printing takes time superlinear in
+# the range, since the numbers grow with the row.  Each limit takes under 1 s.
+TABLE_MAX_N = 20000
+TABLE_MAX_M = 2500
+
+
+def _required(value, flag: str):
+    if value is None:
+        raise _UsageError(f"this command requires {flag}")
+    return value
 
 
 def _cmd_table(args) -> tuple[dict, int]:
     if args.name == "parallel-spinors":
-        if args.max_n is None:
-            raise _UsageError("table parallel-spinors requires --max-n")
-        if args.max_n < 1:
-            raise _UsageError("--max-n must be >= 1")
+        max_n = _required(args.max_n, "--max-n")
+        if not 1 <= max_n <= TABLE_MAX_N:
+            raise _UsageError(f"--max-n must be between 1 and TABLE_MAX_N = {TABLE_MAX_N}")
         rows = [{"n": n, "parallelSpinors": _decimal(max_parallel_spinors(n))}
-                for n in range(1, args.max_n + 1)]
-        return {"name": "parallel-spinors", "maxN": args.max_n, "rows": rows}, 0
-    if args.max_m is None:
-        raise _UsageError("table calabi-yau requires --max-m")
-    if args.max_m < 2 or args.max_m % 2:
-        raise _UsageError("--max-m must be an even integer >= 2")
+                for n in range(1, max_n + 1)]
+        return {"name": "parallel-spinors", "maxN": max_n, "rows": rows}, 0
+    max_m = _required(args.max_m, "--max-m")
+    if not 2 <= max_m <= TABLE_MAX_M or max_m % 2:
+        raise _UsageError(
+            f"--max-m must be an even integer between 2 and TABLE_MAX_M = {TABLE_MAX_M}")
     rows = [{"m": m,
              "rsBound": _decimal(cy_hypersurface_bound_closed_form(m)),
              "torusRS": _decimal(torus_rs_dimension(2 * m))}
-            for m in range(2, args.max_m + 1, 2)]
-    return {"name": "calabi-yau", "maxM": args.max_m, "rows": rows}, 0
+            for m in range(2, max_m + 1, 2)]
+    return {"name": "calabi-yau", "maxM": max_m, "rows": rows}, 0
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    if args.suite == "closed-form":
-        result = _verify_closed_form(_even_max_m(args))
-    elif args.suite == "torus-inequality":
-        result = _verify_torus_inequality(_even_max_m(args))
-    elif args.suite == "hypersurface-poly":
-        if args.m is None or args.m < 1:
-            raise _UsageError("verify hypersurface-poly requires --m >= 1")
-        result = _verify_hypersurface_poly(args.m)
+    if args.suite == "hypersurface-poly":
+        m = _required(args.m, "--m")
+        degree, leading, checks = verify.hypersurface_poly(m)
+        result = {"m": m, "degree": degree, "leadingCoefficient": _decimal(leading)}
+    elif args.suite == "symmetric-poly":
+        m, r = _required(args.m, "--m"), _required(args.r, "--r")
+        checks, result = verify.symmetric_poly(m, r), {"m": m, "r": r}
     else:
-        if args.m is None or args.m < 1 or args.r is None or args.r < 1:
-            raise _UsageError("verify symmetric-poly requires --m >= 1 and --r >= 1")
-        result = _verify_symmetric_poly(args.m, args.r)
-    return result, 0 if result["allPass"] else 1
-
-
-def _even_max_m(args) -> int:
-    if args.max_m is None or args.max_m < 2 or args.max_m % 2:
-        raise _UsageError(f"verify {args.suite} requires an even --max-m >= 2")
-    return args.max_m
-
-
-def _checked(checks: list[dict], name: str, passed: bool) -> None:
-    checks.append({"check": name, "pass": bool(passed)})
-
-
-def _verify_closed_form(max_m: int) -> dict:
-    checks: list[dict] = []
-    for m in range(2, max_m + 1, 2):
-        ci = CompleteIntersection(m, (m + 2,))
-        _checked(checks, f"char-number matches closed form (m={m})",
-                 char_number(ci) == hypersurface_char_number_closed_form(m))
-        _checked(checks, f"bound matches closed form (m={m})",
-                 rs_lower_bound(ci).bound_total == cy_hypersurface_bound_closed_form(m))
-    return {"suite": "closed-form", "maxM": max_m, "checks": checks,
-            "allPass": all(c["pass"] for c in checks)}
-
-
-def _verify_torus_inequality(max_m: int) -> dict:
-    checks: list[dict] = []
-    for m in range(2, max_m + 1, 2):
-        _checked(checks, f"calabi-yau bound exceeds torus count (m={m})",
-                 exceeds_torus(m))
-    return {"suite": "torus-inequality", "maxM": max_m, "checks": checks,
-            "allPass": all(c["pass"] for c in checks)}
-
-
-def _verify_hypersurface_poly(m: int) -> dict:
-    poly = char_number_polynomial(m, 1)
-    checks: list[dict] = []
-    if m % 2:
-        _checked(checks, "identically zero (odd m)", not poly)
-        leading = "0"
-    else:
-        leading_coefficient = poly.coefficient((m + 1,))
-        expected = Fraction(2 * m + 3 - 3 ** (m + 1), 2**m * factorial(m + 1))
-        _checked(checks, "degree equals m+1", poly.degree == m + 1)
-        _checked(checks, "leading coefficient matches closed form",
-                 leading_coefficient == expected)
-        leading = _decimal(leading_coefficient)
-    return {"suite": "hypersurface-poly", "m": m, "degree": poly.degree,
-            "leadingCoefficient": leading, "checks": checks,
-            "allPass": all(c["pass"] for c in checks)}
-
-
-def _verify_symmetric_poly(m: int, r: int) -> dict:
-    poly = char_number_polynomial(m, r)
-    checks: list[dict] = []
-    if m % 2:
-        _checked(checks, "identically zero (odd m)", not poly)
-    else:
-        base = char_number_polynomial(m, 1)
-        a = MultiPoly.variable(0, 1)
-        specialized = poly.evaluate([a] + [MultiPoly.constant(1, 1)] * (r - 1))
-        _checked(checks, "symmetric in the degrees", poly.is_symmetric())
-        _checked(checks, "degree in each variable equals m+1",
-                 all(poly.variable_degree(i) == m + 1 for i in range(r)))
-        _checked(checks, "specialization at (a,1,...,1) matches r=1",
-                 specialized == base)
-    return {"suite": "symmetric-poly", "m": m, "r": r, "checks": checks,
-            "allPass": all(c["pass"] for c in checks)}
+        max_m = _required(args.max_m, "--max-m")
+        suite = verify.closed_form if args.suite == "closed-form" else verify.torus_inequality
+        checks, result = suite(max_m), {"maxM": max_m}
+    all_pass = all(passed for _, passed in checks)
+    rows = [{"check": name, "pass": passed} for name, passed in checks]
+    result = {"suite": args.suite, **result, "checks": rows, "allPass": all_pass}
+    return result, 0 if all_pass else 1
 
 
 def _cmd_search(args) -> tuple[dict, int]:
-    m = args.complex_dim
-    if m < 2 or m % 2:
-        raise _UsageError("search requires an even --complex-dim >= 2")
-    if args.threshold < 1:
-        raise _UsageError("--threshold must be >= 1")
-    degree = find_degree_exceeding(m, args.threshold)
-    report = rs_lower_bound(CompleteIntersection(m, (degree,)))
-    result = {
-        "m": m,
+    degree = find_degree_exceeding(args.complex_dim, args.threshold)
+    report = rs_lower_bound(CompleteIntersection(args.complex_dim, (degree,)))
+    return {
+        "m": args.complex_dim,
         "threshold": _decimal(args.threshold),
         "degree": degree,
         "charnum": _decimal(report.charnum),
         "report": _report_dict(report, include_index=False),
-    }
-    return result, 0
+    }, 0
 
 
 def _cmd_product(args) -> tuple[dict, int]:
-    if args.torus_dim < 0:
-        raise _UsageError("--torus-dim must be >= 0")
-    ci = CompleteIntersection(args.complex_dim, tuple(args.degrees))
-    report = rs_lower_bound(ci)
+    # before the bound, so that a bad torus dimension exits 1 on any base
+    torus_spinors = torus_parallel_spinors(args.torus_dim)
+    report = rs_lower_bound(CompleteIntersection(args.complex_dim, tuple(args.degrees)))
     result = _report_dict(report, include_index=True)
     result["torusDim"] = args.torus_dim
-    result["torusParallelSpinors"] = _decimal(torus_parallel_spinors(args.torus_dim))
+    result["torusParallelSpinors"] = _decimal(torus_spinors)
     result["productBound"] = _decimal(product_bound(report.bound_total, args.torus_dim))
     result["totalRealDimension"] = report.n + args.torus_dim
     return result, 0
@@ -300,12 +235,9 @@ def main(argv=None) -> int:
     gc.collect(0)
     try:
         result, code = args.handler(args)
-    except TheoremInapplicableError as exc:
+    except (_UsageError, InvalidInputError, TheoremInapplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (_UsageError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, TheoremInapplicableError) else 1
     if not args.quiet:
         meta = {"tool": "rscount", "version": __version__} if args.meta else None
         sys.stdout.write(render(args.command, result, args.format, meta))

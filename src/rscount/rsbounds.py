@@ -24,8 +24,9 @@ from fractions import Fraction
 from functools import cache
 
 from .charclass import (CompleteIntersection, CurvatureClass,
-                        InvalidInputError, a_hat_genus, char_number,
-                        curvature_class, is_spin, rs_index_from)
+                        InvalidInputError, _is_nonnegative_int,
+                        _is_positive_int, _require_positive, a_hat_genus,
+                        char_number, curvature_class, is_spin, rs_index_from)
 from .rings import binomial
 
 # Decimal digits a threshold of find_degree_exceeding may have; 10^1000 is
@@ -35,6 +36,10 @@ from .rings import binomial
 # converts to a string by default.
 THRESHOLD_DIGITS = 1001
 _THRESHOLD_LIMIT = 10 ** THRESHOLD_DIGITS
+
+# Largest flat-torus dimension k accepted: 2^[k/2] has about 0.15k digits, and
+# printing takes time quadratic in that (10^6 takes under 1 s, 4*10^6 10 s).
+MAX_TORUS_DIM = 10**6
 
 
 class TheoremInapplicableError(ValueError):
@@ -73,8 +78,7 @@ def max_parallel_spinors(n: int) -> int:
     2^k for n = 4k or n = 4k+7, 2^{k+1} for n = 4k+14 or n = 4k+21,
     and 0 for all other n.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    _require_positive(n, "dimension n")
     remainder = n % 4
     if remainder == 0:
         return 2 ** (n // 4)
@@ -93,16 +97,16 @@ def torus_rs_dimension(n: int) -> int:
     For flat metrics all such fields are parallel, so the count is the rank
     of the 3/2-spinor bundle: (n-1) * 2^[n/2].
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    _require_positive(n, "dimension n")
     return (n - 1) * 2 ** (n // 2)
 
 
 def torus_parallel_spinors(k: int) -> int:
     """Parallel spinors on a flat k-torus with its trivial spin structure:
-    the full spinor rank 2^[k/2]; 1 for k = 0 (empty factor)."""
-    if k < 0:
-        raise ValueError("torus dimension must be nonnegative")
+    the full spinor rank 2^[k/2] (1 for k = 0); 0 <= k <= MAX_TORUS_DIM."""
+    if not _is_nonnegative_int(k) or k > MAX_TORUS_DIM:
+        raise InvalidInputError(
+            f"torus dimension must be an integer from 0 to MAX_TORUS_DIM = {MAX_TORUS_DIM}")
     return 2 ** (k // 2)
 
 
@@ -162,8 +166,8 @@ def cy_hypersurface_bound_closed_form(m: int) -> int:
 def product_bound(rs_x: int, k: int) -> int:
     """Bound for X x T^k from a bound for X: Rarita-Schwinger fields on X
     tensored with parallel spinors on the flat torus survive."""
-    if rs_x < 0:
-        raise ValueError("base bound must be nonnegative")
+    if not _is_nonnegative_int(rs_x):
+        raise InvalidInputError("base bound must be a nonnegative integer")
     return rs_x * torus_parallel_spinors(k)
 
 
@@ -188,8 +192,7 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
     raise InvalidInputError.
     """
     _require_even(m)
-    if threshold < 1:
-        raise InvalidInputError("threshold must be positive")
+    _require_positive(threshold, "threshold")
     if threshold >= _THRESHOLD_LIMIT:
         raise InvalidInputError(
             f"threshold has more than THRESHOLD_DIGITS = {THRESHOLD_DIGITS} decimal digits")
@@ -265,6 +268,6 @@ def exceeds_torus(m: int) -> bool:
     return cy_hypersurface_bound_closed_form(m) > torus_rs_dimension(2 * m)
 
 
-def _require_even(m: int) -> None:
-    if m < 2 or m % 2:
-        raise InvalidInputError("m must be an even integer >= 2")
+def _require_even(m: int, name: str = "m") -> None:
+    if not _is_positive_int(m) or m < 2 or m % 2:
+        raise InvalidInputError(f"{name} must be an even integer >= 2")

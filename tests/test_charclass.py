@@ -200,9 +200,9 @@ class TestCharNumberPolynomial:
             assert poly.evaluate([F(a) for a in degrees]) == char_number(ci)
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             char_number_polynomial(0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             char_number_polynomial(2, 0)
 
 
@@ -239,9 +239,9 @@ class TestRaritaSchwingerIndex:
         assert rs_index(ci, "plus") == -160 + 8
 
     def test_requires_spin_structure(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             rs_index(CompleteIntersection(2, (5,)), "plus")
 
     def test_rejects_unknown_chirality(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             rs_index(K3, "both")

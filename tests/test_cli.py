@@ -16,9 +16,9 @@ from math import prod
 import pytest
 from conftest import golden, run_cli
 
-from rscount import charclass, cli, rsbounds
+from rscount import charclass, cli, rsbounds, verify
 from rscount.charclass import CompleteIntersection, char_number
-from rscount.rsbounds import (THRESHOLD_DIGITS,
+from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               hypersurface_char_number_closed_form)
 from rscount.series import PowerSeries
 
@@ -234,6 +234,29 @@ class TestVerifyCommand:
         assert run_cli("verify", "closed-form", "--max-m", "5").returncode == 1
         assert run_cli("verify", "symmetric-poly", "--m", "2").returncode == 1
 
+    @pytest.mark.parametrize("argv, named", [
+        (("hypersurface-poly", "--m", "0"), "m"),
+        (("symmetric-poly", "--m", "2", "--r", "0"), "r"),
+        (("closed-form", "--max-m", "5"), "max_m"),
+    ])
+    def test_arguments_the_suite_rejects_exit_1(self, argv, named, capsys):
+        assert cli.main(["verify", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and f"{named} must be" in err
+
+    def test_failed_check_exits_1_with_its_row(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "hypersurface_char_number_closed_form",
+                            lambda m: 0)
+        assert cli.main(["verify", "closed-form", "--max-m", "4"]) == 1
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["allPass"] is False
+        assert result["checks"] == [
+            {"check": "char-number matches closed form (m=2)", "pass": False},
+            {"check": "bound matches closed form (m=2)", "pass": True},
+            {"check": "char-number matches closed form (m=4)", "pass": False},
+            {"check": "bound matches closed form (m=4)", "pass": True}]
+
 
 class TestSearchCommand:
     def test_threshold_100_golden(self):
@@ -312,6 +335,30 @@ class TestProductCommand:
         proc = run_cli("product", "--complex-dim", "2", "--degrees", "4",
                        "--torus-dim", "-1")
         assert proc.returncode == 1
+
+    def test_negative_torus_dim_on_inapplicable_base_exits_1(self, capsys):
+        # the torus dimension is invalid input; the base alone would exit 2
+        assert cli.main(["product", "--complex-dim", "2", "--degrees", "5",
+                         "--torus-dim", "-1"]) == 1
+        assert "torus dimension" in capsys.readouterr().err
+
+
+class TestInputBudgets:
+    """The largest input each budget accepts runs; one past it is refused
+    before any work, naming the budget."""
+
+    @pytest.mark.parametrize("argv, largest, past, budget", [
+        (("table", "parallel-spinors", "--max-n"), cli.TABLE_MAX_N, 1, "TABLE_MAX_N"),
+        (("table", "calabi-yau", "--max-m"), cli.TABLE_MAX_M, 2, "TABLE_MAX_M"),
+        (("product", "--complex-dim", "2", "--degrees", "4", "--torus-dim"),
+         MAX_TORUS_DIM, 1, "MAX_TORUS_DIM"),
+    ])
+    def test_edges(self, argv, largest, past, budget, capsys):
+        assert cli.main([*argv, str(largest), "--quiet"]) == 0
+        assert cli.main([*argv, str(largest + past)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{budget} = {largest}" in err
 
 
 class TestGlobalFlags:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from rscount import rsbounds
 from rscount.charclass import (CompleteIntersection, CurvatureClass,
-                               InvalidInputError, char_number)
-from rscount.rsbounds import (THRESHOLD_DIGITS, TheoremInapplicableError,
+                               InvalidInputError, char_number,
+                               char_number_polynomial)
+from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
+                              TheoremInapplicableError,
                               cy_hypersurface_bound_closed_form, exceeds_torus,
                               find_degree_exceeding,
                               hypersurface_char_number_closed_form,
@@ -53,9 +55,9 @@ class TestMaxParallelSpinors:
         assert max_parallel_spinors(29) == 2**3      # 4*2 + 21
 
     def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             max_parallel_spinors(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             max_parallel_spinors(-4)
 
 
@@ -75,10 +77,17 @@ class TestTorusCounts:
         assert torus_parallel_spinors(0) == 1
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             torus_rs_dimension(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             torus_parallel_spinors(-1)
+
+    def test_torus_dimension_budget(self):
+        assert torus_parallel_spinors(MAX_TORUS_DIM) == 2 ** (MAX_TORUS_DIM // 2)
+        with pytest.raises(InvalidInputError, match="MAX_TORUS_DIM"):
+            torus_parallel_spinors(MAX_TORUS_DIM + 1)
+        with pytest.raises(InvalidInputError, match="MAX_TORUS_DIM"):
+            product_bound(1, MAX_TORUS_DIM + 1)
 
 
 class TestRSLowerBound:
@@ -181,8 +190,26 @@ class TestProductBound:
         assert product_bound(123, 0) == 123
 
     def test_negative_base_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             product_bound(-1, 2)
+
+
+# bool is an int subclass, but True is not a dimension, degree, bound or
+# threshold
+@pytest.mark.parametrize("call", [
+    lambda: find_degree_exceeding(2, True),
+    lambda: find_degree_exceeding(True, 10),
+    lambda: char_number_polynomial(2, True),
+    lambda: char_number_polynomial(True, 1),
+    lambda: torus_parallel_spinors(True),
+    lambda: torus_rs_dimension(True),
+    lambda: max_parallel_spinors(True),
+    lambda: product_bound(True, 2),
+    lambda: product_bound(38, True),
+])
+def test_bool_is_not_an_integer_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def hypersurface_number(m, a):
