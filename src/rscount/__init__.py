@@ -2,8 +2,10 @@
 projective space, and the Rarita-Schwinger dimension bounds they imply.
 
 Everything is exact: the numbers come from a Riemann-Roch sum of binomials,
-the characteristic polynomial from truncated power series over polynomials
-in the degrees (``rscount.series``, an engine internal to ``charclass``).
+and past its term limit, like the characteristic polynomial, from a
+recurrence in the power sums of the degrees (``charclass``).  The truncated
+power series of ``rscount.series`` have no production caller; they stay as
+the tests' independent oracle.
 """
 
 __version__ = "0.1.0"

@@ -28,21 +28,26 @@ the Koszul resolution gives as
 (Hirzebruch, Topological Methods in Algebraic Geometry).  t0 is an integer
 on spin inputs and a half-integer otherwise.  The sum has one term per
 distinct signed subset sum s, up to 2^r of them; past
-KOSZUL_TERMS_PER_ORDER * (m+2) terms the numbers go by power series instead.
+KOSZUL_TERMS_PER_ORDER * (m+2) terms the numbers go by power sums instead.
 
-The polynomial ``char_number_polynomial`` always goes by power series.
-Pairing picks out the h^m coefficient times <h^m, [M]> = a_1...a_r, and that
-product of degrees cancels the sinh poles exactly, so the computation runs on
-unit power series truncated at order m: with S(h) = sinh(h/2)/(h/2),
+The power-sum route serves those numbers and the polynomial
+``char_number_polynomial``.  Pairing picks out the h^m coefficient times
+<h^m, [M]> = a_1...a_r, and that product of degrees cancels the sinh poles.
+With log(sinh(x/2)/(x/2)) = sum_k beta_k x^{2k}, beta_k = B_{2k}/(2k (2k)!)
+(Hirzebruch's multiplicative sequences), the degrees enter only through
+y_k = p_{2k} - (m+r+1), p_{2k} = sum_j a_j^{2k}:
 
     <A-hat(TM) ch(T^C M), [M]>
-        = 2 a_1...a_r * coeff(h^m, S(h)^{-(m+r+1)} * prod_j S(a_j h)
-                                   * ((m+r+1) cosh(h) - 1 - sum_j cosh(a_j h))).
+        = 2 a_1...a_r * coeff(h^m, E * (m - sum_k y_k h^{2k}/(2k)!)),
+    <A-hat(TM), [M]> = a_1...a_r * coeff(h^m, E),
+    E = exp(sum_k beta_k y_k h^{2k}).
 
-Running it with polynomial coefficients in a_1..a_r yields the
-characteristic number as an exact symmetric polynomial in the degrees; run
-with rational coefficients, it gives the numbers past the Koszul term limit
-and is the tests' oracle for the Riemann-Roch route.
+For the numbers each y_k is an integer.  For the polynomial the
+coefficients are combinations of monomial symmetric polynomials m_lambda in
+a_1..a_r, on which only multiplication by a power sum is needed.  Both
+vanish for odd m, where every coefficient of odd order is zero.
+``rscount.series`` computes the same pairing from truncated power series;
+it has no caller here and stays as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -52,19 +57,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .rings import MultiPoly
-from .series import PowerSeries, cosh_series, sinhc_half_series
 
 Chirality = Literal["plus", "minus"]
 
 # The Koszul sum costs 2r+3 binomials per signed subset sum of the
-# degrees; the series route about r+4 products of order-m series.  Measured
-# over m = 2..120 and r = 4..12, the sum is the faster one up to about
-# 8(m+2) sums on non-spin inputs and further on spin ones, so it serves
-# inputs with at most KOSZUL_TERMS_PER_ORDER * (m+2) sums and series the rest.
-KOSZUL_TERMS_PER_ORDER = 8
+# degrees; the power-sum route about m^2/4 rational products, whatever r is.
+# Timed over m = 2..120 and r = 4..12 on distinct powers of two (2^r sums),
+# spin and non-spin, the sum is the faster one up to a median of 1.5(m+2)
+# sums on non-spin inputs and 3(m+2) on spin ones (0.3 to 5 and 0.5 to 150
+# times m+2).  Summed over that grid, a limit of 3(m+2) sums takes 2% longer
+# than always taking the faster route, and no input takes over 2x longer.
+KOSZUL_TERMS_PER_ORDER = 3
 
 
 class InvalidInputError(ValueError):
@@ -201,54 +207,67 @@ def _riemann_roch_numbers(ci: CompleteIntersection,
     return Fraction(charnum, denominator), Fraction(a_hat, denominator)
 
 
-def _pole_free_a_hat(m: int, scalars: Sequence) -> PowerSeries:
-    """S(h)^{-(m+r+1)} * prod_j S(a_j h) at order m, S(h) = sinh(h/2)/(h/2).
+def _bernoulli_ratios(order: int) -> list[Fraction]:
+    """B_{2k}/(2k)! for k = 0..order//2: the h^{2k} coefficients of
+    (h/2) coth(h/2) = cosh(h/2) / (sinh(h/2)/(h/2)), by series division."""
+    ratios = []
+    for n in range(order // 2 + 1):
+        ratios.append(Fraction(1, 4**n * factorial(2 * n)) - sum(
+            Fraction(1, 4**j * factorial(2 * j + 1)) * ratios[n - j] for j in range(1, n + 1)))
+    return ratios
 
-    Equals a_1...a_r times the A-hat class with its h-poles cancelled; the
-    degrees enter only through argument scaling, so they may be rationals or
-    polynomial variables, while the power of S stays a rational series.
+
+def _add_scaled(total: dict, scale: Fraction, combination: dict) -> None:
+    for key, c in combination.items():
+        total[key] = total.get(key, 0) + scale * c
+
+
+def _power_sum_pairings(m: int, times_y: Callable[[int, dict], dict]) -> tuple[dict, dict]:
+    """([h^m] E*(m - sum_k y_k h^{2k}/(2k)!), [h^m] E) with
+    E = exp(sum_k beta_k y_k h^{2k}), as linear combinations {key: c}.
+
+    The key () stands for 1, and times_y(k, c) multiplies c by y_k; that
+    step alone knows what the y_k are.  E runs by n*E_n = sum_k
+    (B_{2k}/(2k)!) y_k E_{n-2k}, from E' = (log E)' E, since
+    2k beta_k = B_{2k}/(2k)!.  For odd m every odd E_n is empty, so the
+    h^m coefficients come out zero.
     """
-    s = sinhc_half_series(m)
-    series = s ** -(m + len(scalars) + 1)
-    for a in scalars:
-        series = series * s.scale_arg(a)
-    return series
+    ratios = _bernoulli_ratios(m)
+    e = [{(): Fraction(1)}]
+    for n in range(1, m + 1):
+        products = [times_y(k, e[n - 2 * k]) for k in range(1, n // 2 + 1)]
+        total = {}
+        for k, product in enumerate(products, 1):
+            _add_scaled(total, ratios[k], product)
+        e.append({key: c / n for key, c in total.items() if c})
+    # products now holds y_k E_{m-2k}, k = 1..m//2
+    charnum = {key: m * c for key, c in e[m].items()}
+    for k, product in enumerate(products, 1):
+        _add_scaled(charnum, Fraction(-1, factorial(2 * k)), product)
+    return charnum, e[m]
 
 
-def _half_tangent_character(m: int, scalars: Sequence) -> PowerSeries:
-    """(m+r+1) cosh(h) - 1 - sum_j cosh(a_j h); ch(T^C M) is twice this."""
-    cosh = cosh_series(m)
-    series = (m + len(scalars) + 1) * cosh - 1
-    for a in scalars:
-        series = series - cosh.scale_arg(a)
-    return series
-
-
-def _integrand(m: int, scalars: Sequence) -> PowerSeries:
-    """The series whose h^m coefficient, times 2*a_1...a_r, is the
-    characteristic number: the polynomial route, and the tests' oracle for
-    the Riemann-Roch route."""
-    return _pole_free_a_hat(m, scalars) * _half_tangent_character(m, scalars)
-
-
-def _series_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
-    """The same pair as _riemann_roch_numbers, by coefficient extraction at
-    order m, sharing one pole-free A-hat series."""
+def _power_sum_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
+    """The same pair as _riemann_roch_numbers, from the power sums of the
+    degrees: each y_k is an integer, so the combinations hold one key."""
     m, degrees = ci.m, ci.degrees
-    a_hat = _pole_free_a_hat(m, degrees)
-    charnum = (a_hat * _half_tangent_character(m, degrees))[m]
-    return 2 * prod(degrees) * charnum, prod(degrees) * a_hat[m]
+    y = [sum(a ** (2 * k) for a in degrees) - (m + len(degrees) + 1)
+         for k in range(m // 2 + 1)]
+    charnum, a_hat = _power_sum_pairings(
+        m, lambda k, combination: {key: y[k] * c for key, c in combination.items()})
+    zero = Fraction(0)
+    return 2 * prod(degrees) * charnum.get((), zero), prod(degrees) * a_hat.get((), zero)
 
 
 @lru_cache(maxsize=1)
 def _characteristic_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
     """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>), by the Koszul sum
     while it carries at most KOSZUL_TERMS_PER_ORDER * (m+2) signed subset
-    sums, else by series.  Holds the last input: a bound report needs both."""
+    sums, else by power sums.  Holds the last input: a bound report needs both."""
     limit = KOSZUL_TERMS_PER_ORDER * (ci.m + 2)
     coeffs = _koszul_coefficients(ci.degrees, limit)
     if coeffs is None:
-        return _series_numbers(ci)
+        return _power_sum_numbers(ci)
     return _riemann_roch_numbers(ci, coeffs)
 
 
@@ -267,21 +286,70 @@ def char_number(ci: CompleteIntersection) -> int | Fraction:
     if is_spin(ci):
         raise ArithmeticError(
             f"characteristic number of spin {ci} came out non-integral ({value}); "
-            "this signals a bug in the Riemann-Roch sum or the series engine")
+            "this signals a bug in the Riemann-Roch sum or the power-sum route")
     return value
+
+
+def _times_power_sum(power: int, combination: dict, r: int) -> dict:
+    """p_power * sum_lambda c_lambda m_lambda in the monomial symmetric basis
+    of r variables: p_k m_lambda = sum_v mult_mu(v+k) m_mu, over the distinct
+    part values v of lambda (0 too while lambda has fewer than r parts), with
+    mu = lambda with one v raised to v+k.  Partitions are descending tuples
+    of their nonzero parts."""
+    product = {}
+    for partition, c in combination.items():
+        values = set(partition)
+        if len(partition) < r:
+            values.add(0)
+        for v in values:
+            parts = list(partition)
+            if v:
+                parts.remove(v)
+            raised = tuple(sorted(parts + [v + power], reverse=True))
+            product[raised] = product.get(raised, 0) + raised.count(v + power) * c
+    return product
+
+
+def _orderings(parts: list[int]):
+    """Each distinct ordering of the multiset ``parts``, lexicographically."""
+    parts = sorted(parts)
+    while True:
+        yield tuple(parts)
+        i = len(parts) - 2
+        while i >= 0 and parts[i] >= parts[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(parts) - 1
+        while parts[j] <= parts[i]:
+            j -= 1
+        parts[i], parts[j] = parts[j], parts[i]
+        parts[i + 1:] = reversed(parts[i + 1:])
 
 
 def char_number_polynomial(m: int, r: int) -> MultiPoly:
     """The characteristic number as an exact polynomial in the degrees a_1..a_r.
 
-    Runs the coefficient extraction with polynomial coefficients and applies
-    the 2*a_1...a_r prefactor.  For even m this is symmetric of degree m+1;
-    for odd m it is identically zero.
+    Runs the power-sum recurrence with coefficients in the monomial
+    symmetric basis, where y_k = p_{2k} - (m+r+1), then applies the
+    2*a_1...a_r prefactor as e_r m_lambda = m_{lambda + 1^r} and expands
+    each m_lambda over its distinct exponent vectors.  For even m this is
+    symmetric of degree m+1 in each a_i; for odd m it is identically zero.
     """
     _require_positive(m, "dimension m")
     _require_positive(r, "codimension r")
-    variables = [MultiPoly.variable(i, r) for i in range(r)]
-    return 2 * prod(variables) * _integrand(m, variables)[m]
+
+    def times_y(k: int, combination: dict) -> dict:
+        product = _times_power_sum(2 * k, combination, r)
+        _add_scaled(product, Fraction(-(m + r + 1)), combination)
+        return product
+
+    charnum, _ = _power_sum_pairings(m, times_y)
+    terms = {}
+    for partition, c in charnum.items():
+        for exponents in _orderings([v + 1 for v in partition] + [1] * (r - len(partition))):
+            terms[exponents] = 2 * c
+    return MultiPoly(r, terms)
 
 
 def a_hat_genus(ci: CompleteIntersection) -> Fraction:
@@ -311,5 +379,5 @@ def rs_index_from(ci: CompleteIntersection, charnum: int, a_hat: Fraction) -> in
     if total.denominator != 1:
         raise ArithmeticError(
             f"index of spin {ci} came out non-integral ({total}); "
-            "this signals a bug in the Riemann-Roch sum or the series engine")
+            "this signals a bug in the Riemann-Roch sum or the power-sum route")
     return int(total)

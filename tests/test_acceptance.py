@@ -13,13 +13,13 @@ from math import factorial, gcd
 
 from conftest import golden, run_cli
 
-from rscount.charclass import (CompleteIntersection, _integrand, a_hat_genus,
+from rscount.charclass import (CompleteIntersection, a_hat_genus,
                                char_number, char_number_polynomial, rs_index)
 from rscount.rings import MultiPoly, binomial
 from rscount.rsbounds import (cy_hypersurface_bound_closed_form, exceeds_torus,
                               max_parallel_spinors, rs_lower_bound,
                               torus_rs_dimension)
-from rscount.series import PowerSeries, cosh_series, sinh_series
+from rscount.series import PowerSeries, _integrand, cosh_series, sinh_series
 
 F = Fraction
 

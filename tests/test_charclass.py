@@ -14,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rscount.charclass import (KOSZUL_TERMS_PER_ORDER, CompleteIntersection,
-                               CurvatureClass, InvalidInputError, _integrand,
-                               _koszul_coefficients, _pole_free_a_hat,
+                               CurvatureClass, InvalidInputError,
+                               _koszul_coefficients, _power_sum_numbers,
                                _riemann_roch_numbers,
                                a_hat_genus, char_number,
                                char_number_polynomial, curvature_class,
                                first_chern_coefficient, is_spin, rs_index)
 from rscount.rings import MultiPoly, binomial
+from rscount.series import _integrand, _pole_free_a_hat
 
 F = Fraction
 
@@ -117,8 +118,8 @@ class TestCharNumber:
 
 class TestRiemannRochRoute:
     """char_number and a_hat_genus go by the Riemann-Roch sum or, past the
-    Koszul term limit, by series; the series integrand, which shares none
-    of the sum's code, is the oracle for both."""
+    Koszul term limit, by power sums; the series integrand, which shares no
+    code with either, is the oracle for both."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 16), st.lists(st.integers(1, 12), min_size=1, max_size=5))
@@ -159,6 +160,19 @@ class TestRiemannRochRoute:
         assert (char_number(ci), a_hat_genus(ci)) == _riemann_roch_numbers(ci, every_sum)
         assert char_number(ci) == 2 * prod(degrees) * _integrand(2, degrees)[2]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.lists(st.integers(1, 24), min_size=5, max_size=12))
+    @example(20, [2**k for k in range(1, 13)])              # non-spin, 4096 sums
+    @example(12, [2, 4, 8, 16, 32, 65])                     # spin
+    @example(7, [2, 3, 4, 5, 6])                            # odd m, non-spin
+    def test_power_sums_agree_with_the_koszul_sum_and_the_series(self, m, degrees):
+        # the route past the term limit, called directly at r = 5..12
+        ci = CompleteIntersection(m, tuple(degrees))
+        every_sum = _koszul_coefficients(ci.degrees, 2 ** len(degrees))
+        series = (2 * prod(degrees) * _integrand(m, degrees)[m],
+                  prod(degrees) * _pole_free_a_hat(m, degrees)[m])
+        assert _power_sum_numbers(ci) == _riemann_roch_numbers(ci, every_sum) == series
+
 
 class TestCharNumberPolynomial:
     def test_hypersurface_surface_polynomial(self):
@@ -198,6 +212,23 @@ class TestCharNumberPolynomial:
         for degrees in ((2, 4), (3, 3), (6, 1), (5, 2)):
             ci = CompleteIntersection(4, degrees)
             assert poly.evaluate([F(a) for a in degrees]) == char_number(ci)
+
+    @pytest.mark.parametrize("r, max_m", [(1, 21), (2, 21), (3, 19), (4, 15), (5, 11), (6, 9)])
+    def test_equals_the_series_oracle(self, r, max_m):
+        # every (m, r) of the benchmark's symbolic grid, odd m included
+        variables = [MultiPoly.variable(i, r) for i in range(r)]
+        for m in range(1, max_m + 1):
+            oracle = 2 * prod(variables) * _integrand(m, variables)[m]
+            assert char_number_polynomial(m, r) == oracle
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    @example(2, [5])            # non-spin: a genuine fraction
+    def test_evaluates_to_the_koszul_sum(self, m, degrees):
+        ci = CompleteIntersection(m, tuple(degrees))
+        every_sum = _koszul_coefficients(ci.degrees, 2 ** len(degrees))
+        value = char_number_polynomial(m, len(degrees)).evaluate([F(a) for a in degrees])
+        assert value == _riemann_roch_numbers(ci, every_sum)[0]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidInputError):

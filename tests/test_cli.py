@@ -16,7 +16,7 @@ from math import prod
 import pytest
 from conftest import golden, run_cli
 
-from rscount import charclass, cli, rsbounds, verify
+from rscount import charclass, cli, rsbounds, series, verify
 from rscount.charclass import CompleteIntersection, char_number
 from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               hypersurface_char_number_closed_form)
@@ -114,8 +114,8 @@ class TestComputeCommand:
         assert cli.main(["compute", "--complex-dim", "4",
                          "--degrees", *map(str, degrees)]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
-        charnum = 2 * prod(degrees) * charclass._integrand(4, degrees)[4]
-        a_hat = prod(degrees) * charclass._pole_free_a_hat(4, degrees)[4]
+        charnum = 2 * prod(degrees) * series._integrand(4, degrees)[4]
+        a_hat = prod(degrees) * series._pole_free_a_hat(4, degrees)[4]
         assert result["charnum"] == str(charnum)
         assert result["aHatGenus"] == str(a_hat)
 
@@ -225,6 +225,7 @@ class TestVerifyCommand:
         names = [c["check"] for c in result["checks"]]
         assert "symmetric in the degrees" in names
         assert "specialization at (a,1,...,1) matches r=1" in names
+        assert "matches char_number at integer degrees" in names
 
     def test_unknown_suite_exits_1(self):
         assert run_cli("verify", "bogus-suite", "--max-m", "4").returncode == 1
@@ -352,6 +353,14 @@ class TestInputBudgets:
         (("table", "calabi-yau", "--max-m"), cli.TABLE_MAX_M, 2, "TABLE_MAX_M"),
         (("product", "--complex-dim", "2", "--degrees", "4", "--torus-dim"),
          MAX_TORUS_DIM, 1, "MAX_TORUS_DIM"),
+        (("verify", "closed-form", "--max-m"), verify.MAX_M, 1, "MAX_M"),
+        (("verify", "torus-inequality", "--max-m"), verify.MAX_M, 2, "MAX_M"),
+        (("verify", "hypersurface-poly", "--m"), verify.HYPERSURFACE_MAX_M, 1,
+         "HYPERSURFACE_MAX_M"),
+        (("verify", "symmetric-poly", "--r", "2", "--m"), verify.SYMMETRIC_MAX_M, 1,
+         "SYMMETRIC_MAX_M"),
+        (("verify", "symmetric-poly", "--m", str(verify.SYMMETRIC_MAX_M), "--r"),
+         verify.SYMMETRIC_MAX_R, 1, "SYMMETRIC_MAX_R"),
     ])
     def test_edges(self, argv, largest, past, budget, capsys):
         assert cli.main([*argv, str(largest), "--quiet"]) == 0
