@@ -74,8 +74,9 @@ KOSZUL_TERMS_PER_ORDER = 3
 
 
 class InvalidInputError(ValueError):
-    """An argument outside the domain of a library function: the caller's
-    input is at fault, not the computation."""
+    """An argument outside the domain of a library function, or a command
+    argument the CLI refuses: the caller's input is at fault, not the
+    computation."""
 
 
 class CurvatureClass(enum.Enum):
@@ -86,18 +87,18 @@ class CurvatureClass(enum.Enum):
     GENERAL_TYPE = "general_type"
 
 
-def _is_nonnegative_int(value) -> bool:
+def _require_int(value, name: str, low: int = 1, high: int | None = None,
+                 budget: str = "", even: bool = False) -> None:
+    """Rejects all but the integers (even ones only, if ``even``) from
+    ``low`` to ``high`` (or up), naming ``budget``, the constant that sets
+    ``high``."""
     # bool is an int subclass, but True is not a dimension or a degree
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _is_positive_int(value) -> bool:
-    return _is_nonnegative_int(value) and value >= 1
-
-
-def _require_positive(value, name: str) -> None:
-    if not _is_positive_int(value):
-        raise InvalidInputError(f"{name} must be a positive integer")
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or (high is not None and value > high) or (even and value % 2)):
+        kind = "an even integer" if even else "an integer"
+        if high is None:
+            raise InvalidInputError(f"{name} must be {kind} >= {low}")
+        raise InvalidInputError(f"{name} must be {kind} from {low} to {budget} = {high}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,12 @@ class CompleteIntersection:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        _require_positive(self.m, "complex dimension")
+        _require_int(self.m, "complex dimension")
         degrees = tuple(self.degrees)
         if not degrees:
             raise InvalidInputError("at least one degree is required")
-        if not all(_is_positive_int(a) for a in degrees):
-            raise InvalidInputError("degrees must be positive integers")
+        for a in degrees:
+            _require_int(a, "each degree")
         object.__setattr__(self, "degrees", tuple(sorted(degrees)))
 
     @property
@@ -336,8 +337,8 @@ def char_number_polynomial(m: int, r: int) -> MultiPoly:
     each m_lambda over its distinct exponent vectors.  For even m this is
     symmetric of degree m+1 in each a_i; for odd m it is identically zero.
     """
-    _require_positive(m, "dimension m")
-    _require_positive(r, "codimension r")
+    _require_int(m, "dimension m")
+    _require_int(r, "codimension r")
 
     def times_y(k: int, combination: dict) -> dict:
         product = _times_power_sum(2 * k, combination, r)

@@ -5,10 +5,11 @@ intersection, ``table`` to emit the parallel-spinor and Calabi-Yau tables,
 with large characteristic number, and ``product`` to bound products with
 flat tori.
 
-Exit codes: 0 success, 1 usage errors (a missing flag, a table range, or
-input the library rejects with InvalidInputError) and failed verifications,
-2 for valid inputs where the bound theorem does not apply (non-spin or
-Fano).  Any other exception is a bug and propagates.
+Exit codes: 0 success, 1 usage errors and failed verifications, 2 for valid
+inputs where the bound theorem does not apply (non-spin or Fano).  A usage
+error is a flag argparse rejects, or an InvalidInputError: a missing flag or
+a table range from this module, or input the library rejects.  Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ import sys
 from fractions import Fraction
 
 from . import __version__, verify
-from .charclass import CompleteIntersection, InvalidInputError
+from .charclass import CompleteIntersection, InvalidInputError, _require_int
 from .charclass import char_number  # noqa: F401  (bench/test_bench.py traces it)
 from .output import FORMATS, render
 from .rsbounds import (RSBoundReport, TheoremInapplicableError,
                        cy_hypersurface_bound_closed_form, find_degree_exceeding,
                        max_parallel_spinors, product_bound, rs_lower_bound,
                        torus_parallel_spinors, torus_rs_dimension)
-
-
-class _UsageError(Exception):
-    """Semantically invalid command parameters (exit code 1)."""
 
 
 # Decimal digits per divmod step in _decimal; below 640, the smallest limit
@@ -161,22 +158,19 @@ TABLE_MAX_M = 2500
 
 def _required(value, flag: str):
     if value is None:
-        raise _UsageError(f"this command requires {flag}")
+        raise InvalidInputError(f"this command requires {flag}")
     return value
 
 
 def _cmd_table(args) -> tuple[dict, int]:
     if args.name == "parallel-spinors":
         max_n = _required(args.max_n, "--max-n")
-        if not 1 <= max_n <= TABLE_MAX_N:
-            raise _UsageError(f"--max-n must be between 1 and TABLE_MAX_N = {TABLE_MAX_N}")
+        _require_int(max_n, "--max-n", 1, TABLE_MAX_N, "TABLE_MAX_N")
         rows = [{"n": n, "parallelSpinors": _decimal(max_parallel_spinors(n))}
                 for n in range(1, max_n + 1)]
         return {"name": "parallel-spinors", "maxN": max_n, "rows": rows}, 0
     max_m = _required(args.max_m, "--max-m")
-    if not 2 <= max_m <= TABLE_MAX_M or max_m % 2:
-        raise _UsageError(
-            f"--max-m must be an even integer between 2 and TABLE_MAX_M = {TABLE_MAX_M}")
+    _require_int(max_m, "--max-m", 2, TABLE_MAX_M, "TABLE_MAX_M", even=True)
     rows = [{"m": m,
              "rsBound": _decimal(cy_hypersurface_bound_closed_form(m)),
              "torusRS": _decimal(torus_rs_dimension(2 * m))}
@@ -235,7 +229,7 @@ def main(argv=None) -> int:
     gc.collect(0)
     try:
         result, code = args.handler(args)
-    except (_UsageError, InvalidInputError, TheoremInapplicableError) as exc:
+    except (InvalidInputError, TheoremInapplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, TheoremInapplicableError) else 1
     if not args.quiet:

@@ -9,23 +9,20 @@ flat tori supply comparison counts and product constructions for the
 remaining dimensions.
 
 ``find_degree_exceeding`` turns the unbounded growth of these numbers along
-hypersurfaces into a concrete degree.  It scans even degrees with
-``char_number`` until the forward differences of the last m+2 values prove
-that |P(a)| increases from there on.  Those m+2 values fix the polynomial P,
-so it then gallops and bisects on P's Newton form in exact integers, with no
-further ``char_number`` calls: at most m+2 of them when the first window
-certifies.  Thresholds are limited to THRESHOLD_DIGITS decimal digits.
+hypersurfaces into a concrete degree.  It takes m+2 values of
+``char_number`` at even degrees, which fix the polynomial P, slides P's
+forward differences along until they prove that |P(a)| increases from there
+on, then gallops and bisects on P's Newton form in exact integers.
+Thresholds are limited to THRESHOLD_DIGITS decimal digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .charclass import (CompleteIntersection, CurvatureClass,
-                        InvalidInputError, _is_nonnegative_int,
-                        _is_positive_int, _require_positive, a_hat_genus,
+                        InvalidInputError, _require_int, a_hat_genus,
                         char_number, curvature_class, is_spin, rs_index_from)
 from .rings import binomial
 
@@ -78,7 +75,7 @@ def max_parallel_spinors(n: int) -> int:
     2^k for n = 4k or n = 4k+7, 2^{k+1} for n = 4k+14 or n = 4k+21,
     and 0 for all other n.
     """
-    _require_positive(n, "dimension n")
+    _require_int(n, "dimension n")
     remainder = n % 4
     if remainder == 0:
         return 2 ** (n // 4)
@@ -97,16 +94,14 @@ def torus_rs_dimension(n: int) -> int:
     For flat metrics all such fields are parallel, so the count is the rank
     of the 3/2-spinor bundle: (n-1) * 2^[n/2].
     """
-    _require_positive(n, "dimension n")
+    _require_int(n, "dimension n")
     return (n - 1) * 2 ** (n // 2)
 
 
 def torus_parallel_spinors(k: int) -> int:
     """Parallel spinors on a flat k-torus with its trivial spin structure:
     the full spinor rank 2^[k/2] (1 for k = 0); 0 <= k <= MAX_TORUS_DIM."""
-    if not _is_nonnegative_int(k) or k > MAX_TORUS_DIM:
-        raise InvalidInputError(
-            f"torus dimension must be an integer from 0 to MAX_TORUS_DIM = {MAX_TORUS_DIM}")
+    _require_int(k, "torus dimension", 0, MAX_TORUS_DIM, "MAX_TORUS_DIM")
     return 2 ** (k // 2)
 
 
@@ -152,22 +147,21 @@ def hypersurface_char_number_closed_form(m: int) -> int:
 
     An independent route to the value of ``char_number``; the two must agree.
     """
-    _require_even(m)
+    _require_int(m, "m", 2, even=True)
     return -2 * (binomial(2 * m + 3, m + 1) + 1 - (m + 2) ** 2)
 
 
 def cy_hypersurface_bound_closed_form(m: int) -> int:
     """Closed-form Rarita-Schwinger bound for the Calabi-Yau hypersurface of
     degree m+2 in CP^{m+1}: 2*[C(2m+3, m+1) + 1 - (m+2)^2] - 2^{m/2}."""
-    _require_even(m)
+    _require_int(m, "m", 2, even=True)
     return -hypersurface_char_number_closed_form(m) - 2 ** (m // 2)
 
 
 def product_bound(rs_x: int, k: int) -> int:
     """Bound for X x T^k from a bound for X: Rarita-Schwinger fields on X
     tensored with parallel spinors on the flat torus survive."""
-    if not _is_nonnegative_int(rs_x):
-        raise InvalidInputError("base bound must be a nonnegative integer")
+    _require_int(rs_x, "base bound", 0)
     return rs_x * torus_parallel_spinors(k)
 
 
@@ -179,33 +173,38 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
     characteristic number P(a) is a polynomial of degree m+1 in a with
     nonzero leading coefficient, so such an a always exists.
 
-    The search scans even degrees from m+4 upwards, as a plain scan would,
-    taking each value from ``char_number``.  Once the last m+2 values
-    scanned, P(a0), P(a0+2), ..., P(a0+2(m+1)), certify that |P| strictly
-    increases on all even a >= a0 (see ``_increases_from``), their forward
-    differences give P exactly on every even a >= a0 (see ``_newton_form``).
-    On that form it gallops with doubling steps to bracket the threshold and
-    bisects to the smallest even degree beyond it, in exact integers.  The
-    answer is the plain scan's.  The first window certifies for every even
-    m <= 60 tested, so ``char_number`` runs at most m+2 times.  Thresholds
-    must be positive and have at most THRESHOLD_DIGITS decimal digits; others
-    raise InvalidInputError.
+    The search scans the even degrees a0 = m+4, ..., m+4+2(m+1), as a plain
+    scan would, with ``char_number``.  Those m+2 values fix P: their step-2
+    forward differences D^0..D^{m+1} at a0 give P on every even a >= a0
+    (see ``_newton_form``).  Until the differences prove that |P| strictly
+    increases from a0 on (see ``_increasing``), the row slides one degree,
+    D^k <- D^k + D^{k+1}, and the scan checks each new D^0 = P(a0).  Then it
+    gallops with doubling steps from the last degree known not to exceed the
+    threshold, and bisects to the smallest even degree beyond it, in exact
+    integers.  The answer is the plain scan's; ``char_number`` runs at most
+    m+2 times.  The first window certifies for every even m <= 60 tested.
+    Thresholds must be positive and have at most THRESHOLD_DIGITS decimal
+    digits; others raise InvalidInputError.
     """
-    _require_even(m)
-    _require_positive(threshold, "threshold")
+    _require_int(m, "m", 2, even=True)
+    _require_int(threshold, "threshold")
     if threshold >= _THRESHOLD_LIMIT:
         raise InvalidInputError(
             f"threshold has more than THRESHOLD_DIGITS = {THRESHOLD_DIGITS} decimal digits")
-    value = cache(lambda a: char_number(CompleteIntersection(m, (a,))))
-    a = m + 4
-    while abs(value(a)) <= threshold:
-        a0 = a - 2 * (m + 1)
-        if a0 >= m + 4:
-            differences = _increases_from([value(b) for b in range(a0, a + 1, 2)])
-            if differences:
-                return _first_beyond(_newton_form(a0, differences), a, threshold)
-        a += 2
-    return a
+    a0 = m + 4
+    values = []
+    for a in range(a0, a0 + 2 * (m + 2), 2):
+        values.append(char_number(CompleteIntersection(m, (a,))))
+        if abs(values[-1]) > threshold:
+            return a
+    differences = _differences(values)
+    while not _increasing(differences):
+        for k in range(m + 1):
+            differences[k] += differences[k + 1]
+        a0 += 2
+        if abs(differences[0]) > threshold:
+            return a0
+    return _first_beyond(_newton_form(a0, differences), max(a0, a), threshold)
 
 
 def _first_beyond(value, lo: int, threshold: int) -> int:
@@ -226,10 +225,18 @@ def _first_beyond(value, lo: int, threshold: int) -> int:
     return hi
 
 
-def _increases_from(values: list[int]) -> list[int] | None:
-    """The step-2 forward differences D^0..D^d at a0 if they prove that |P|
-    strictly increases on a0, a0+2, a0+4, ..., else None, given
-    values[j] = P(a0 + 2j) for j = 0..d of a polynomial P of degree <= d.
+def _differences(values: list[int]) -> list[int]:
+    """The forward differences D^0..D^d at the first of d+1 values."""
+    differences = []
+    while values:
+        differences.append(values[0])
+        values = [after - before for before, after in zip(values, values[1:])]
+    return differences
+
+
+def _increasing(differences: list[int]) -> bool:
+    """Whether the step-2 forward differences D^0..D^d of a polynomial P of
+    degree <= d at a0 prove that |P| strictly increases on a0, a0+2, a0+4, ...
 
     The differences give P(a0 + 2j) = sum_k C(j, k) D^k, and D^k = 0 for
     k > d.  If D^0 != 0 and every D^k has the sign s of D^0, then
@@ -237,15 +244,8 @@ def _increases_from(values: list[int]) -> list[int] | None:
     s*(P(a0 + 2j + 2) - P(a0 + 2j)) = s * sum_k C(j, k) D^{k+1} >= s*D^1 > 0,
     so |P| = s*P strictly increases.
     """
-    sign = (values[0] > 0) - (values[0] < 0)
-    differences = []
-    row = values
-    while row:
-        if sign * row[0] <= 0:
-            return None
-        differences.append(row[0])
-        row = [after - before for before, after in zip(row, row[1:])]
-    return differences
+    sign = (differences[0] > 0) - (differences[0] < 0)
+    return all(sign * d > 0 for d in differences)
 
 
 def _newton_form(a0: int, differences: list[int]):
@@ -264,10 +264,5 @@ def _newton_form(a0: int, differences: list[int]):
 def exceeds_torus(m: int) -> bool:
     """Whether the Calabi-Yau hypersurface bound beats the flat-torus count
     in the same real dimension 2m.  True for every even m >= 2."""
-    _require_even(m)
+    _require_int(m, "m", 2, even=True)
     return cy_hypersurface_bound_closed_form(m) > torus_rs_dimension(2 * m)
-
-
-def _require_even(m: int, name: str = "m") -> None:
-    if not _is_positive_int(m) or m < 2 or m % 2:
-        raise InvalidInputError(f"{name} must be an even integer >= 2")

@@ -1,0 +1,49 @@
+"""Every module of the package uses each name it imports, except on lines
+marked ``# noqa``: an import left behind by a deleted call is dead code."""
+
+import ast
+
+import pytest
+
+from conftest import REPO_ROOT
+
+MODULES = sorted((REPO_ROOT / "src" / "rscount").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that ``source`` imports and never reads, with their lines;
+    a name listed in ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used and "# noqa" not in lines[alias.lineno - 1]:
+                unused.append(f"{alias.lineno}: {name}")
+    return unused
+
+
+def test_finds_an_unused_import_and_honours_noqa():
+    source = ("from fractions import Fraction\n"
+              "from math import comb, prod\n"
+              "import json  # noqa\n"
+              "import os.path\n"
+              "__all__ = ['prod']\n"
+              "x = os.path.sep\n")
+    assert unused_imports(source) == ["1: Fraction", "2: comb"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

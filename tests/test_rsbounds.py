@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rscount import rsbounds
+from rscount import rsbounds, verify
 from rscount.charclass import (CompleteIntersection, CurvatureClass,
                                InvalidInputError, char_number,
                                char_number_polynomial)
@@ -195,20 +195,31 @@ class TestProductBound:
 
 
 # bool is an int subclass, but True is not a dimension, degree, bound or
-# threshold
-@pytest.mark.parametrize("call", [
-    lambda: find_degree_exceeding(2, True),
-    lambda: find_degree_exceeding(True, 10),
-    lambda: char_number_polynomial(2, True),
-    lambda: char_number_polynomial(True, 1),
-    lambda: torus_parallel_spinors(True),
-    lambda: torus_rs_dimension(True),
-    lambda: max_parallel_spinors(True),
-    lambda: product_bound(True, 2),
-    lambda: product_bound(38, True),
-])
+# threshold; each call maps to the argument its rejection names
+BOOL_INPUTS = {
+    lambda: find_degree_exceeding(2, True): "threshold",
+    lambda: find_degree_exceeding(True, 10): "m",
+    lambda: char_number_polynomial(2, True): "codimension r",
+    lambda: char_number_polynomial(True, 1): "dimension m",
+    lambda: torus_parallel_spinors(True): "torus dimension",
+    lambda: torus_rs_dimension(True): "dimension n",
+    lambda: max_parallel_spinors(True): "dimension n",
+    lambda: product_bound(True, 2): "base bound",
+    lambda: product_bound(38, True): "torus dimension",
+    lambda: verify.closed_form(True): "max_m",
+    lambda: verify.torus_inequality(True): "max_m",
+    lambda: verify.hypersurface_poly(True): "m",
+    lambda: verify.symmetric_poly(True, 2): "m",
+    lambda: verify.symmetric_poly(2, True): "r",
+    lambda: exceeds_torus(True): "m",
+    lambda: hypersurface_char_number_closed_form(True): "m",
+    lambda: cy_hypersurface_bound_closed_form(True): "m",
+}
+
+
+@pytest.mark.parametrize("call", BOOL_INPUTS)
 def test_bool_is_not_an_integer_input(call):
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=f"^{BOOL_INPUTS[call]} must be "):
         call()
 
 
@@ -253,42 +264,53 @@ class TestDegreeSearch:
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_failed_certificates_fall_back_to_the_scan(self, m, monkeypatch):
-        certify, refusals, calls = rsbounds._increases_from, 5, []
+        certify, refusals, calls = rsbounds._increasing, 5, []
 
-        def refuse_first(values):
-            calls.append(values)
-            return certify(values) if len(calls) > refusals else None
+        def refuse_first(differences):
+            calls.append(differences)
+            return certify(differences) if len(calls) > refusals else False
 
-        monkeypatch.setattr(rsbounds, "_increases_from", refuse_first)
+        evaluated = []
+
+        def counted(ci):
+            evaluated.append(ci)
+            return char_number(ci)
+        monkeypatch.setattr(rsbounds, "_increasing", refuse_first)
+        monkeypatch.setattr(rsbounds, "char_number", counted)
         value = cache(lambda a: hypersurface_number(m, a))
         for a in range(m + 4, m + 200, 14):
             for threshold in (abs(value(a)), abs(value(a)) - 1):
                 calls.clear()
+                evaluated.clear()
                 answer = linear_scan(m, threshold, value)
                 assert find_degree_exceeding(m, threshold) == answer
                 # past the first window and the refused ones, the certificate
                 # was asked once more, and held
                 if answer > 3 * m + 6 + 2 * refusals:
                     assert len(calls) == refusals + 1
+                # the first window fixes P: no evaluation after it
+                assert len(evaluated) <= m + 2
 
     def test_certificate_holds_at_the_first_degree(self):
         for m in range(2, 61, 2):
             values = [hypersurface_number(m, m + 4 + 2 * j) for j in range(m + 2)]
-            assert rsbounds._increases_from(values), m
+            assert rsbounds._increasing(rsbounds._differences(values)), m
 
     def test_certificate_needs_every_difference_of_one_sign(self):
         # values of 1 + j + j(j-1)/2 and their negatives: differences 1, 1, 1
-        assert rsbounds._increases_from([1, 2, 4]) == [1, 1, 1]
-        assert rsbounds._increases_from([-1, -2, -4]) == [-1, -1, -1]
-        assert rsbounds._increases_from([0, 1, 3]) is None     # D^0 = 0
-        assert rsbounds._increases_from([3, 2, 4]) is None     # D^1 < 0
-        assert rsbounds._increases_from([1, 3, 4]) is None     # D^2 < 0
+        for values, differences in (([1, 2, 4], [1, 1, 1]), ([-1, -2, -4], [-1, -1, -1])):
+            assert rsbounds._differences(values) == differences
+            assert rsbounds._increasing(differences)
+        for values in ([0, 1, 3],       # D^0 = 0
+                       [3, 2, 4],       # D^1 < 0
+                       [1, 3, 4]):      # D^2 < 0
+            assert not rsbounds._increasing(rsbounds._differences(values))
 
     @pytest.mark.parametrize("m", range(2, 13, 2))
     def test_newton_form_equals_char_number(self, m):
         a0 = m + 4
         window = [hypersurface_number(m, a0 + 2 * j) for j in range(m + 2)]
-        newton = rsbounds._newton_form(a0, rsbounds._increases_from(window))
+        newton = rsbounds._newton_form(a0, rsbounds._differences(window))
         rng = random.Random(m)
         degrees = list(range(a0, a0 + 4 * (m + 2), 2))
         degrees += [2 * rng.randrange(a0 // 2, 10**digits // 2)
