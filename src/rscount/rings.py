@@ -44,12 +44,12 @@ class MultiPoly:
             raise ValueError("a polynomial needs at least one variable")
         clean: dict[Exponents, Fraction] = {}
         for exponents, coeff in (terms or {}).items():
-            key = tuple(int(e) for e in exponents)
+            key = tuple(map(int, exponents))
             if len(key) != num_vars:
                 raise ValueError(f"exponent vector {key} does not have {num_vars} entries")
-            if any(e < 0 for e in key):
+            if min(key) < 0:
                 raise ValueError(f"exponent vector {key} has a negative entry")
-            value = Fraction(coeff)
+            value = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if value:
                 clean[key] = value
         self.num_vars = num_vars

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charclass import (CompleteIntersection, CurvatureClass,
+from .charclass import (MAX_COMPLEX_DIM, CompleteIntersection, CurvatureClass,
                         InvalidInputError, _require_int, a_hat_genus,
                         char_number, curvature_class, is_spin, rs_index_from)
 from .rings import binomial
@@ -183,10 +183,10 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
     threshold, and bisects to the smallest even degree beyond it, in exact
     integers.  The answer is the plain scan's; ``char_number`` runs at most
     m+2 times.  The first window certifies for every even m <= 60 tested.
-    Thresholds must be positive and have at most THRESHOLD_DIGITS decimal
-    digits; others raise InvalidInputError.
+    m must be even and at most MAX_COMPLEX_DIM, and thresholds positive with
+    at most THRESHOLD_DIGITS decimal digits; others raise InvalidInputError.
     """
-    _require_int(m, "m", 2, even=True)
+    _require_int(m, "m", 2, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM", even=True)
     _require_int(threshold, "threshold")
     if threshold >= _THRESHOLD_LIMIT:
         raise InvalidInputError(

@@ -7,6 +7,7 @@ integrand.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from rscount.charclass import (KOSZUL_TERMS_PER_ORDER, CompleteIntersection,
                                CurvatureClass, InvalidInputError,
-                               _koszul_coefficients, _power_sum_numbers,
+                               _bernoulli_ratios, _koszul_coefficients,
+                               _orderings, _power_sum_numbers,
                                _riemann_roch_numbers,
                                a_hat_genus, char_number,
                                char_number_polynomial, curvature_class,
@@ -174,6 +176,37 @@ class TestRiemannRochRoute:
         assert _power_sum_numbers(ci) == _riemann_roch_numbers(ci, every_sum) == series
 
 
+def series_bernoulli_ratios(order):
+    """B_{2k}/(2k)! for k = 0..order//2 as the h^{2k} coefficients of
+    (h/2) coth(h/2) = cosh(h/2) / (sinh(h/2)/(h/2)), by series division: the
+    reference for the tangent-number recurrence."""
+    ratios = []
+    for n in range(order // 2 + 1):
+        ratios.append(F(1, 4**n * factorial(2 * n)) - sum(
+            F(1, 4**j * factorial(2 * j + 1)) * ratios[n - j] for j in range(1, n + 1)))
+    return ratios
+
+
+class TestPowerSumPieces:
+    def test_bernoulli_ratios_equal_series_division(self):
+        # the series at each order is a prefix of the one at order 240
+        reference = series_bernoulli_ratios(240)
+        for order in range(241):
+            assert _bernoulli_ratios(order) == reference[:order // 2 + 1]
+
+    def test_bernoulli_ratios_known_values(self):
+        ratios = _bernoulli_ratios(12)
+        assert ratios[:3] == [1, F(1, 12), F(-1, 720)]
+        assert ratios[6] == F(-691, 2730 * factorial(12))
+
+    def test_orderings_yield_each_permutation_once(self):
+        for size in range(1, 9):
+            for parts in combinations_with_replacement(range(1, 5), size):
+                orderings = list(_orderings(list(parts)))
+                assert len(orderings) == len(set(orderings))
+                assert set(orderings) == set(permutations(parts))
+
+
 class TestCharNumberPolynomial:
     def test_hypersurface_surface_polynomial(self):
         expected = MultiPoly(1, {(3,): F(-5, 6), (1,): F(10, 3)})
@@ -222,8 +255,10 @@ class TestCharNumberPolynomial:
             assert char_number_polynomial(m, r) == oracle
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 10), st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    @given(st.integers(1, 10), st.lists(st.integers(1, 12), min_size=1, max_size=8))
     @example(2, [5])            # non-spin: a genuine fraction
+    @example(6, [2, 2, 3, 3, 4, 4, 5])
+    @example(10, [1, 2, 3, 4, 5, 6, 7, 8])
     def test_evaluates_to_the_koszul_sum(self, m, degrees):
         ci = CompleteIntersection(m, tuple(degrees))
         every_sum = _koszul_coefficients(ci.degrees, 2 ** len(degrees))

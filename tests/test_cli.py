@@ -17,7 +17,7 @@ import pytest
 from conftest import golden, run_cli
 
 from rscount import charclass, cli, rsbounds, series, verify
-from rscount.charclass import CompleteIntersection, char_number
+from rscount.charclass import MAX_COMPLEX_DIM, CompleteIntersection, char_number
 from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               hypersurface_char_number_closed_form)
 from rscount.series import PowerSeries
@@ -368,6 +368,19 @@ class TestInputBudgets:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"{budget} = {largest}" in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("compute", lambda m: ["--degrees", str(m + 4)]),
+        ("product", lambda m: ["--degrees", str(m + 4), "--torus-dim", "1"]),
+        ("search", lambda m: ["--threshold", "1"])], ids=["compute", "product", "search"])
+    def test_complex_dimension(self, command, flags, capsys):
+        # general type and spin at the limit, which is even, so search takes it
+        largest = MAX_COMPLEX_DIM
+        assert cli.main([command, "--complex-dim", str(largest), *flags(largest), "--quiet"]) == 0
+        assert cli.main([command, "--complex-dim", str(largest + 1), *flags(largest + 1)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"MAX_COMPLEX_DIM = {largest}" in err
 
 
 class TestGlobalFlags:

@@ -1,5 +1,7 @@
 """Every module of the package uses each name it imports, except on lines
-marked ``# noqa``: an import left behind by a deleted call is dead code."""
+marked ``# noqa``: an import left behind by a deleted call is dead code.
+And ``rscount.charclass`` imports nothing from ``rscount.series``, the
+tests' oracle, so that the oracle shares no code with the production route."""
 
 import ast
 
@@ -47,3 +49,31 @@ def test_finds_an_unused_import_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_paths(source: str) -> set[str]:
+    """The dotted path of every module and name that ``source``, a module of
+    the package, imports: ``from . import series`` gives ``rscount`` and
+    ``rscount.series``."""
+    paths = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["rscount" if node.level else "", node.module]))
+            paths |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return paths
+
+
+def test_finds_each_way_of_importing_a_module():
+    for source in ("from .series import _integrand\n",
+                   "from . import rings, series\n",
+                   "import rscount.series as oracle\n",
+                   "from rscount import series\n"):
+        assert "rscount.series" in imported_paths(source)
+    assert "rscount.series" not in imported_paths("from .rings import MultiPoly\n")
+
+
+def test_charclass_shares_no_code_with_the_series_oracle():
+    source = (REPO_ROOT / "src" / "rscount" / "charclass.py").read_text()
+    assert "rscount.series" not in imported_paths(source)

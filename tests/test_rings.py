@@ -133,6 +133,24 @@ class TestMultiPolyArithmetic:
         difference = p - p
         assert not difference.terms and difference.degree == -1
 
+    def test_int_coefficient_stored_as_fraction(self):
+        p = MultiPoly(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+        assert p.terms == {(1, 0): Fraction(3), (0, 1): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+    def test_list_exponent_vector_stored_as_tuple_of_ints(self):
+        class ListKeyed:
+            """Terms as (exponent list, coefficient) pairs, which a dict
+            cannot hold: the constructor only reads items()."""
+
+            def items(self):
+                return [([2, Fraction(1)], 5)]
+
+        p = MultiPoly(2, ListKeyed())
+        assert p.terms == {(2, 1): Fraction(5)}
+        (key,) = p.terms
+        assert type(key) is tuple and [type(e) for e in key] == [int, int]
+
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
             MultiPoly(2, {(1,): Fraction(1)})
