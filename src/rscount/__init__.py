@@ -14,7 +14,7 @@ from .charclass import (CompleteIntersection, CurvatureClass,
                         InvalidInputError, a_hat_genus, char_number,
                         char_number_polynomial, curvature_class,
                         first_chern_coefficient, is_spin, rs_index)
-from .rings import MultiPoly, binomial
+from .rings import MultiPoly
 from .rsbounds import (RSBoundReport, TheoremInapplicableError,
                        cy_hypersurface_bound_closed_form, exceeds_torus,
                        find_degree_exceeding,
@@ -30,7 +30,6 @@ __all__ = [
     "RSBoundReport",
     "TheoremInapplicableError",
     "a_hat_genus",
-    "binomial",
     "char_number",
     "char_number_polynomial",
     "curvature_class",

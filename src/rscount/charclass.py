@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, lgamma, log, prod
 from operator import itemgetter
 from typing import Callable, Literal, Sequence
 
@@ -80,8 +80,22 @@ KOSZUL_TERMS_PER_ORDER = 3
 # Largest complex dimension a CompleteIntersection accepts.  At the limit a
 # cold `compute --complex-dim M --degrees M+4` takes about 1 s on a 2-vCPU
 # Xeon, most of it in the Koszul sum's math.comb calls, and prints numbers
-# of about 48000 digits; m = 100000 takes 1.7 s.
+# of about 48000 digits; m = 100000 takes 1.7 s.  Larger degrees make larger
+# numbers, which MAX_NUMBER_BITS holds.
 MAX_COMPLEX_DIM = 80000
+
+# Largest estimated size in bits (see _number_bits) of the numbers the
+# characteristic numbers are computed from.  Cold on a 2-vCPU Xeon, `compute
+# --complex-dim 80000 --degrees 80004` (about 160000 bits) takes about 1 s;
+# past the limit, m = 20000 at degree 4*10^6 (193000 bits) takes 1.2 s, and
+# at degree 10^20 (1.08M bits) 9.5-11.8 s.
+MAX_NUMBER_BITS = 170000
+
+# Largest even m the power-sum route takes: it makes about m^2/4 rational
+# products, of numbers that grow with m.  At the limit a cold `compute
+# --complex-dim M --degrees 2 2 4 8 ... 16384` (2^15 signed subset sums)
+# takes about 1 s on a 2-vCPU Xeon; m = 400 takes 2.3 s.
+MAX_POWER_SUM_DIM = 300
 
 
 class InvalidInputError(ValueError):
@@ -283,14 +297,46 @@ def _power_sum_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
     return 2 * prod(degrees) * charnum.get((), zero), prod(degrees) * a_hat.get((), zero)
 
 
+def _number_bits(ci: CompleteIntersection) -> float:
+    """Estimated bits of the largest binomial C(x, n), n = m + r, in the
+    Koszul sum, from math.lgamma, before any binomial is computed: |x| is
+    at most about (a_1 + ... + a_r + n)/2 + max_j a_j."""
+    n = ci.m + ci.codimension
+    x = (sum(ci.degrees) + n) // 2 + max(ci.degrees)
+    k = max(0, min(n, x - n))
+    if x < 2**52:
+        nats = lgamma(x + 1) - lgamma(k + 1) - lgamma(x - k + 1)
+    else:  # past float precision: log C(x, k) = k log x - log k! + O(k^2/x)
+        nats = k * log(x) - lgamma(k + 1)
+    return nats / log(2)
+
+
 @lru_cache(maxsize=1)
 def _characteristic_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
     """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>), by the Koszul sum
     while it carries at most KOSZUL_TERMS_PER_ORDER * (m+2) signed subset
-    sums, else by power sums.  Holds the last input: a bound report needs both."""
+    sums, else by power sums.  Both are zero for odd m, where every series
+    in the pairing is even in h.  Holds the last input: a bound report
+    needs both.
+
+    Raises InvalidInputError past MAX_NUMBER_BITS, and on the power-sum
+    route past MAX_POWER_SUM_DIM.
+    """
+    if ci.m % 2:
+        return Fraction(0), Fraction(0)
+    bits = _number_bits(ci)
+    if bits > MAX_NUMBER_BITS:
+        raise InvalidInputError(
+            f"complex dimension {ci.m} with these degrees needs numbers of about "
+            f"{bits:.0f} bits, past MAX_NUMBER_BITS = {MAX_NUMBER_BITS}")
     limit = KOSZUL_TERMS_PER_ORDER * (ci.m + 2)
     coeffs = _koszul_coefficients(ci.degrees, limit)
     if coeffs is None:
+        if ci.m > MAX_POWER_SUM_DIM:
+            raise InvalidInputError(
+                f"the degrees have over {limit} signed subset sums, which takes the "
+                f"power-sum route, and complex dimension {ci.m} is past "
+                f"MAX_POWER_SUM_DIM = {MAX_POWER_SUM_DIM}")
         return _power_sum_numbers(ci)
     return _riemann_roch_numbers(ci, coeffs)
 

@@ -9,25 +9,18 @@ arithmetic is exact; all values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), exact at any size; k > n gives 0."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    return comb(n, k)
-
-
 class MultiPoly:
     """Sparse polynomial over the rationals in a fixed number of variables.
 
-    ``terms`` maps exponent vectors (one nonnegative entry per variable) to
-    nonzero coefficients; the zero polynomial stores no terms.  Instances are
-    treated as immutable: every operation returns a new polynomial.
+    ``terms`` maps exponent vectors (one nonnegative int entry per variable)
+    to coefficients, ints or Fractions, stored as nonzero Fractions; the zero
+    polynomial stores no terms.  Instances are treated as immutable: every
+    operation returns a new polynomial.
 
     Example (2 variables)::
 
@@ -44,27 +37,26 @@ class MultiPoly:
             raise ValueError("a polynomial needs at least one variable")
         clean: dict[Exponents, Fraction] = {}
         for exponents, coeff in (terms or {}).items():
-            key = tuple(map(int, exponents))
+            key = tuple(exponents)
             if len(key) != num_vars:
                 raise ValueError(f"exponent vector {key} does not have {num_vars} entries")
+            # bool is an int subclass, but True is not an exponent or a coefficient
+            if not all(type(e) is int for e in key):
+                raise ValueError(f"exponent vector {key} has an entry that is not an int")
             if min(key) < 0:
                 raise ValueError(f"exponent vector {key} has a negative entry")
-            value = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if value:
-                clean[key] = value
+            if type(coeff) is int:
+                coeff = Fraction(coeff)
+            elif not isinstance(coeff, Fraction):
+                raise ValueError(f"coefficient {coeff!r} is not an int or a Fraction")
+            if coeff:
+                clean[key] = coeff
         self.num_vars = num_vars
         self.terms = clean
 
     @classmethod
     def constant(cls, value: Fraction | int, num_vars: int) -> "MultiPoly":
-        return cls(num_vars, {(0,) * num_vars: Fraction(value)})
-
-    @classmethod
-    def variable(cls, index: int, num_vars: int) -> "MultiPoly":
-        if not 0 <= index < num_vars:
-            raise ValueError(f"variable index {index} out of range for {num_vars} variables")
-        exponents = tuple(1 if j == index else 0 for j in range(num_vars))
-        return cls(num_vars, {exponents: Fraction(1)})
+        return cls(num_vars, {(0,) * num_vars: value})
 
     @property
     def degree(self) -> int:
@@ -86,10 +78,8 @@ class MultiPoly:
         return self.terms.get(tuple(exponents), Fraction(0))
 
     def evaluate(self, values: Sequence):
-        """Evaluate at the given point.  Exact, and a ring homomorphism.
-
-        Values may be rationals, or polynomials (giving substitution).
-        """
+        """Evaluate at a point of numbers, such as ints and Fractions.
+        Exact, and a ring homomorphism."""
         if len(values) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(values)}")
         total = Fraction(0)
@@ -131,7 +121,7 @@ class MultiPoly:
                 raise ValueError(
                     f"mixed polynomials in {self.num_vars} and {other.num_vars} variables")
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             return MultiPoly.constant(other, self.num_vars)
         return None
 
@@ -174,24 +164,11 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        result = MultiPoly.constant(1, self.num_vars)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             other = MultiPoly.constant(other, self.num_vars)
         if not isinstance(other, MultiPoly):
             return NotImplemented

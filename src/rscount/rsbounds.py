@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .charclass import (MAX_COMPLEX_DIM, CompleteIntersection, CurvatureClass,
                         InvalidInputError, _require_int, a_hat_genus,
                         char_number, curvature_class, is_spin, rs_index_from)
-from .rings import binomial
 
 # Decimal digits a threshold of find_degree_exceeding may have; 10^1000 is
 # the largest power of ten accepted.  It bounds the search's work and keeps
@@ -148,7 +148,7 @@ def hypersurface_char_number_closed_form(m: int) -> int:
     An independent route to the value of ``char_number``; the two must agree.
     """
     _require_int(m, "m", 2, even=True)
-    return -2 * (binomial(2 * m + 3, m + 1) + 1 - (m + 2) ** 2)
+    return -2 * (comb(2 * m + 3, m + 1) + 1 - (m + 2) ** 2)
 
 
 def cy_hypersurface_bound_closed_form(m: int) -> int:

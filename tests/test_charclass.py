@@ -8,21 +8,23 @@ integrand.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rscount.charclass import (KOSZUL_TERMS_PER_ORDER, CompleteIntersection,
-                               CurvatureClass, InvalidInputError,
-                               _bernoulli_ratios, _koszul_coefficients,
+from rscount import charclass
+from rscount.charclass import (KOSZUL_TERMS_PER_ORDER, MAX_NUMBER_BITS,
+                               CompleteIntersection, CurvatureClass,
+                               InvalidInputError, _bernoulli_ratios,
+                               _koszul_coefficients, _number_bits,
                                _orderings, _power_sum_numbers,
                                _riemann_roch_numbers,
                                a_hat_genus, char_number,
                                char_number_polynomial, curvature_class,
                                first_chern_coefficient, is_spin, rs_index)
-from rscount.rings import MultiPoly, binomial
+from rscount.rings import MultiPoly
 from rscount.series import _integrand, _pole_free_a_hat
 
 F = Fraction
@@ -94,7 +96,7 @@ class TestCharNumber:
 
     def test_closed_form_for_cy_hypersurfaces(self):
         for m in range(2, 11, 2):
-            expected = -2 * (binomial(2 * m + 3, m + 1) + 1 - (m + 2) ** 2)
+            expected = -2 * (comb(2 * m + 3, m + 1) + 1 - (m + 2) ** 2)
             assert char_number(CompleteIntersection(m, (m + 2,))) == expected
 
     def test_values_frozen_from_symbolic_oracle(self):
@@ -176,6 +178,39 @@ class TestRiemannRochRoute:
         assert _power_sum_numbers(ci) == _riemann_roch_numbers(ci, every_sum) == series
 
 
+class TestBudgets:
+    """Odd m is zero by parity before either route runs; even m is refused
+    past MAX_NUMBER_BITS, and on the power-sum route past MAX_POWER_SUM_DIM
+    (see tests/test_cli.py), before any binomial or power sum is computed."""
+
+    def test_odd_m_runs_neither_route(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a route ran at odd m")
+        for name in ("_koszul_coefficients", "_riemann_roch_numbers", "_power_sum_numbers"):
+            monkeypatch.setattr(charclass, name, fail)
+        ci = CompleteIntersection(801, tuple(2**k for k in range(1, 15)))
+        assert (char_number(ci), a_hat_genus(ci)) == (0, 0)
+
+    @pytest.mark.parametrize("m, degrees", [
+        (2, (4,)), (400, (402,)), (100, (10**6,)), (20, (10**30,)),
+        (6, (2, 4, 6)), (8, (3, 5, 7, 10)), (10, (2,) * 19 + (3,))])
+    def test_number_bits_estimates_the_largest_binomial(self, m, degrees):
+        # spin inputs, where each binomial of the Koszul sum is a math.comb
+        ci = CompleteIntersection(m, degrees)
+        n, t0 = m + len(degrees), -first_chern_coefficient(ci) // 2
+        largest = 0
+        for s in _koszul_coefficients(ci.degrees, 2 ** len(degrees)):
+            for shift in (0, 1, -1, *degrees, *(-a for a in degrees)):
+                x = t0 + shift - s + n
+                largest = max(largest, comb(x, n) if x >= 0 else comb(n - x - 1, n))
+        assert largest.bit_length() - 1.01 < _number_bits(ci) < largest.bit_length() + 0.01
+
+    def test_numbers_past_the_bit_budget_are_refused(self):
+        ci = CompleteIntersection(20000, (10**20,))
+        with pytest.raises(InvalidInputError, match=f"MAX_NUMBER_BITS = {MAX_NUMBER_BITS}"):
+            char_number(ci)
+
+
 def series_bernoulli_ratios(order):
     """B_{2k}/(2k)! for k = 0..order//2 as the h^{2k} coefficients of
     (h/2) coth(h/2) = cosh(h/2) / (sinh(h/2)/(h/2)), by series division: the
@@ -249,7 +284,8 @@ class TestCharNumberPolynomial:
     @pytest.mark.parametrize("r, max_m", [(1, 21), (2, 21), (3, 19), (4, 15), (5, 11), (6, 9)])
     def test_equals_the_series_oracle(self, r, max_m):
         # every (m, r) of the benchmark's symbolic grid, odd m included
-        variables = [MultiPoly.variable(i, r) for i in range(r)]
+        variables = [MultiPoly(r, {tuple(int(j == i) for j in range(r)): 1})
+                     for i in range(r)]
         for m in range(1, max_m + 1):
             oracle = 2 * prod(variables) * _integrand(m, variables)[m]
             assert char_number_polynomial(m, r) == oracle

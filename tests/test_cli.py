@@ -17,7 +17,9 @@ import pytest
 from conftest import golden, run_cli
 
 from rscount import charclass, cli, rsbounds, series, verify
-from rscount.charclass import MAX_COMPLEX_DIM, CompleteIntersection, char_number
+from rscount.charclass import (MAX_COMPLEX_DIM, MAX_NUMBER_BITS,
+                               MAX_POWER_SUM_DIM, CompleteIntersection,
+                               char_number)
 from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               hypersurface_char_number_closed_form)
 from rscount.series import PowerSeries
@@ -381,6 +383,32 @@ class TestInputBudgets:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"MAX_COMPLEX_DIM = {largest}" in err
+
+    # 2, 4, ..., 2^14: 2^14 signed subset sums, past the Koszul term limit
+    # at every m below, and spin with one more 2 at even m
+    POWERS = [str(2**k) for k in range(1, 15)]
+
+    def test_power_sum_dimension(self, capsys):
+        largest = MAX_POWER_SUM_DIM
+        degrees = ["--degrees", "2", *self.POWERS]
+        assert cli.main(["compute", "--complex-dim", str(largest), *degrees, "--quiet"]) == 0
+        for past in (largest + 2, 800):
+            assert cli.main(["compute", "--complex-dim", str(past), *degrees]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"MAX_POWER_SUM_DIM = {largest}" in err
+
+    def test_odd_dimension_is_zero_past_the_power_sum_budget(self, capsys):
+        assert cli.main(["compute", "--complex-dim", "801", "--degrees", *self.POWERS]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["spin"], result["charnum"]) == (True, "0")
+
+    def test_number_size(self, capsys):
+        argv = ["compute", "--complex-dim", "20000", "--degrees", str(10**20)]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"MAX_NUMBER_BITS = {MAX_NUMBER_BITS}" in err
 
 
 class TestGlobalFlags:

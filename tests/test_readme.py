@@ -1,5 +1,6 @@
-"""README's CLI examples must run: each ``rscount ...`` line of the shell
-block in its CLI section exits 0."""
+"""README's examples must run: each ``rscount ...`` line of the shell block
+in its CLI section exits 0, and the Python block of its Library section
+gives the values its comments state."""
 
 import re
 import shlex
@@ -8,10 +9,13 @@ import pytest
 from conftest import REPO_ROOT, run_cli
 
 
-def _cli_examples() -> list[str]:
+def _section(title: str) -> str:
     readme = (REPO_ROOT / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _cli_examples() -> list[str]:
+    block = re.search(r"```sh\n(.*?)```", _section("CLI"), re.DOTALL).group(1)
     return [line for line in block.splitlines() if line.startswith("rscount ")]
 
 
@@ -24,3 +28,27 @@ def test_example_exits_0(line):
     proc = run_cli(*shlex.split(line)[1:])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_library_example_gives_its_commented_values(capsys):
+    """Runs the block statement by statement; a line ``code  # value``
+    must print value, or evaluate to something whose str is value."""
+    block = re.search(r"```python\n(.*?)```", _section("Library"), re.DOTALL).group(1)
+    namespace, pending, checked = {}, [], []
+    for line in block.splitlines():
+        commented = re.fullmatch(r"(.*?)\s+# (.*)", line)
+        if not commented:
+            pending.append(line)
+            continue
+        exec("\n".join(pending), namespace)
+        pending = []
+        code, value = commented.groups()
+        if code.startswith("print("):
+            exec(code, namespace)
+            shown = capsys.readouterr().out.rstrip("\n")
+        else:
+            shown = str(eval(code, namespace))
+        checked.append((shown, value))
+    assert [value for _, value in checked] == ["-40", "38", "-5/6*a1^3 + 10/3*a1", "-160"]
+    for shown, value in checked:
+        assert shown == value
