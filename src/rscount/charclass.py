@@ -25,10 +25,12 @@ the Koszul resolution gives as
                                  - sum_j (chi(t0+a_j) + chi(t0-a_j)),
     <A-hat(TM), [M]>           = chi(t0)
 
-(Hirzebruch, Topological Methods in Algebraic Geometry).  t0 is an integer
-on spin inputs and a half-integer otherwise.  The sum has one term per
-distinct signed subset sum s, up to 2^r of them; past
-KOSZUL_TERMS_PER_ORDER * (m+2) terms the numbers go by power sums instead.
+(Hirzebruch, Topological Methods in Algebraic Geometry).  Serre duality,
+chi(t0 + s) = (-1)^m chi(t0 - s), folds the first sum onto its positive
+shifts.  t0 is an integer on spin inputs and a half-integer otherwise.
+The sum has one term per distinct signed subset sum s, up to 2^r of them;
+past KOSZUL_TERMS_PER_ORDER * (m+2) terms the numbers go by power sums
+instead.
 
 The power-sum route serves those numbers and the polynomial
 ``char_number_polynomial``.  Pairing picks out the h^m coefficient times
@@ -68,7 +70,7 @@ from .rings import MultiPoly
 
 Chirality = Literal["plus", "minus"]
 
-# The Koszul sum costs 2r+3 binomials per signed subset sum of the
+# The Koszul sum costs r+2 binomials per signed subset sum of the
 # degrees; the power-sum route about m^2/4 rational products, whatever r is.
 # Timed over m = 2..120 and r = 4..12 on distinct powers of two (2^r sums),
 # spin and non-spin, the sum is the faster one up to a median of 1.5(m+2)
@@ -78,17 +80,17 @@ Chirality = Literal["plus", "minus"]
 KOSZUL_TERMS_PER_ORDER = 3
 
 # Largest complex dimension a CompleteIntersection accepts.  At the limit a
-# cold `compute --complex-dim M --degrees M+4` takes about 1 s on a 2-vCPU
+# cold `compute --complex-dim M --degrees M+4` takes 0.7-0.8 s on a 2-vCPU
 # Xeon, most of it in the Koszul sum's math.comb calls, and prints numbers
-# of about 48000 digits; m = 100000 takes 1.7 s.  Larger degrees make larger
-# numbers, which MAX_NUMBER_BITS holds.
+# of about 48000 digits.  Larger degrees make larger numbers, which
+# MAX_NUMBER_BITS holds.
 MAX_COMPLEX_DIM = 80000
 
 # Largest estimated size in bits (see _number_bits) of the numbers the
 # characteristic numbers are computed from.  Cold on a 2-vCPU Xeon, `compute
-# --complex-dim 80000 --degrees 80004` (about 160000 bits) takes about 1 s;
-# past the limit, m = 20000 at degree 4*10^6 (193000 bits) takes 1.2 s, and
-# at degree 10^20 (1.08M bits) 9.5-11.8 s.
+# --complex-dim 80000 --degrees 80004` (about 160000 bits) takes 0.7-0.8 s;
+# past the limit, with the budget lifted, m = 20000 at degree 4*10^6
+# (193000 bits) takes 0.8 s, and at degree 10^20 (1.08M bits) 9.5 s.
 MAX_NUMBER_BITS = 170000
 
 # Largest even m the power-sum route takes: it makes about m^2/4 rational
@@ -203,12 +205,16 @@ def _riemann_roch_numbers(ci: CompleteIntersection,
                           coeffs: dict[int, int]) -> tuple[Fraction, Fraction]:
     """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>) by the Koszul sum.
 
-    chi(M, O(t)) = sum_s c_s C(t - s + n, n) with n = m + r.  On spin inputs
-    t0 is an integer and each binomial is a math.comb, reflected as
-    C(x, n) = (-1)^n C(n - x - 1, n) for x < 0.  Otherwise t0 is a
-    half-integer, and 2^n n! C(x, n) = prod_{i<n} (2x - 2i) is an integer, so
-    the sums stay in integers over that one denominator.
+    chi(M, O(t)) = sum_s c_s C(t - s + n, n) with n = m + r.  Serre duality
+    gives chi(t0 + s) = (-1)^m chi(t0 - s), so for even m the sum folds to
+    2*[(n+1) chi(t0+1) - chi(t0) - sum_j chi(t0+a_j)], and for odd m both
+    numbers are zero.  On spin inputs t0 is an integer and each binomial is
+    a math.comb, reflected as C(x, n) = (-1)^n C(n - x - 1, n) for x < 0.
+    Otherwise t0 is a half-integer, and 2^n n! C(x, n) = prod_{i<n} (2x - 2i)
+    is an integer, so the sums stay in integers over that one denominator.
     """
+    if ci.m % 2:
+        return Fraction(0), Fraction(0)
     n = ci.m + ci.codimension
     twice_t0 = -first_chern_coefficient(ci)
     spin = twice_t0 % 2 == 0
@@ -223,14 +229,23 @@ def _riemann_roch_numbers(ci: CompleteIntersection,
                 term = comb(x, n) if x >= 0 else (-1) ** n * comb(n - x - 1, n)
             else:
                 twice_x = twice_t0 + 2 * (shift - s + n)
-                term = prod(range(twice_x, twice_x - 2 * n, -2))
+                term = _tree_product(range(twice_x, twice_x - 2 * n, -2))
             total += c * term
         return total
 
     a_hat = chi(0)
-    charnum = ((n + 1) * (chi(1) + chi(-1)) - 2 * a_hat
-               - sum(chi(a) + chi(-a) for a in ci.degrees))
+    charnum = 2 * ((n + 1) * chi(1) - a_hat - sum(chi(a) for a in ci.degrees))
     return Fraction(charnum, denominator), Fraction(a_hat, denominator)
+
+
+def _tree_product(factors: Sequence[int]) -> int:
+    """prod(factors), as a balanced tree of products: operands of like size
+    let large-integer multiplication beat the schoolbook cost of a running
+    product."""
+    if len(factors) <= 16:
+        return prod(factors)
+    middle = len(factors) // 2
+    return _tree_product(factors[:middle]) * _tree_product(factors[middle:])
 
 
 def _bernoulli_ratios(order: int) -> list[Fraction]:

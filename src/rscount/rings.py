@@ -79,16 +79,17 @@ class MultiPoly:
 
     def evaluate(self, values: Sequence):
         """Evaluate at a point of numbers, such as ints and Fractions.
-        Exact, and a ring homomorphism."""
+        Exact, and a ring homomorphism.  Each monomial is formed first, in
+        ints at an integer point, and meets its coefficient once."""
         if len(values) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(values)}")
         total = Fraction(0)
         for exponents, coeff in self.terms.items():
-            term = coeff
+            monomial = 1
             for value, exponent in zip(values, exponents):
                 if exponent:
-                    term = term * value**exponent
-            total = total + term
+                    monomial *= value**exponent
+            total += coeff * monomial
         return total
 
     def is_symmetric(self) -> bool:

@@ -9,17 +9,18 @@ flat tori supply comparison counts and product constructions for the
 remaining dimensions.
 
 ``find_degree_exceeding`` turns the unbounded growth of these numbers along
-hypersurfaces into a concrete degree.  It takes m+2 values of
-``char_number`` at even degrees, which fix the polynomial P, slides P's
-forward differences along until they prove that |P(a)| increases from there
-on, then gallops and bisects on P's Newton form in exact integers.
-Thresholds are limited to THRESHOLD_DIGITS decimal digits.
+hypersurfaces into a concrete degree.  Serre duality folds the Koszul sum of
+the degree-a hypersurface into four binomials, whose absolute value provably
+increases with a from m+4 on, so the search gallops and bisects on that
+closed form in exact integers.  Thresholds are limited to THRESHOLD_DIGITS
+decimal digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from .charclass import (MAX_COMPLEX_DIM, CompleteIntersection, CurvatureClass,
@@ -145,10 +146,12 @@ def hypersurface_char_number_closed_form(m: int) -> int:
     """Characteristic number of the degree-(m+2) hypersurface in CP^{m+1},
     in closed form: -2*[C(2m+3, m+1) + 1 - (m+2)^2], for even m.
 
-    An independent route to the value of ``char_number``; the two must agree.
+    ``_hypersurface_number`` at a = m+2, where C(k+1, n) = m+2,
+    C(k-1, n) = 0 and C(k, n) = 1.  An independent route to the value of
+    ``char_number``; the two must agree.
     """
     _require_int(m, "m", 2, even=True)
-    return -2 * (comb(2 * m + 3, m + 1) + 1 - (m + 2) ** 2)
+    return _hypersurface_number(m, m + 2)
 
 
 def cy_hypersurface_bound_closed_form(m: int) -> int:
@@ -170,19 +173,23 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
     |characteristic number| > threshold.
 
     Even a gives a spin hypersurface; a > m+2 makes c_1 negative.  The
-    characteristic number P(a) is a polynomial of degree m+1 in a with
-    nonzero leading coefficient, so such an a always exists.
+    search gallops with doubling steps from a = m+4, then bisects, on the
+    closed form P(a) of ``_hypersurface_number``, in exact integers; it
+    never calls ``char_number``.  That search finds the first degree past
+    the threshold because |P| strictly increases on even a >= m+4:
 
-    The search scans the even degrees a0 = m+4, ..., m+4+2(m+1), as a plain
-    scan would, with ``char_number``.  Those m+2 values fix P: their step-2
-    forward differences D^0..D^{m+1} at a0 give P on every even a >= a0
-    (see ``_newton_form``).  Until the differences prove that |P| strictly
-    increases from a0 on (see ``_increasing``), the row slides one degree,
-    D^k <- D^k + D^{k+1}, and the scan checks each new D^0 = P(a0).  Then it
-    gallops with doubling steps from the last degree known not to exceed the
-    threshold, and bisects to the smallest even degree beyond it, in exact
-    integers.  The answer is the plain scan's; ``char_number`` runs at most
-    m+2 times.  The first window certifies for every even m <= 60 tested.
+    With k = (a+m)/2, n = m+1 and Q(k) = -P/2 = C(k, n) + C(3k-m, n)
+    - (m+2)*(C(k+1, n) + C(k-1, n)), Pascal's rule gives
+    Q(k+1) - Q(k) = sum_{j<3} C(3k-m+j, m) + C(k, m)
+    - (m+2)*(C(k+1, m) + C(k-1, m)).  For k >= m+2 every factor
+    (3k-m-i)/(k+1-i), i < m, of C(3k-m, m)/C(k+1, m) is at least 2, so
+    3*C(3k-m, m) >= 3*2^m*C(k+1, m) > 2(m+2)*C(k+1, m), which is at least
+    (m+2)*(C(k+1, m) + C(k-1, m)), and each step is positive.  At the start,
+    k = m+2, Q = C(2m+6, m+1) - (m+2)^2 (m+3)/2 > 0, since
+    C(2m+6, m+1) >= C(2m+6, 3) = 2(m+2)(m+3)(2m+5)/3 for m >= 2.  So
+    |P| = 2Q strictly increases, through integers, without bound: such an a
+    exists.
+
     m must be even and at most MAX_COMPLEX_DIM, and thresholds positive with
     at most THRESHOLD_DIGITS decimal digits; others raise InvalidInputError.
     """
@@ -191,26 +198,26 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
     if threshold >= _THRESHOLD_LIMIT:
         raise InvalidInputError(
             f"threshold has more than THRESHOLD_DIGITS = {THRESHOLD_DIGITS} decimal digits")
-    a0 = m + 4
-    values = []
-    for a in range(a0, a0 + 2 * (m + 2), 2):
-        values.append(char_number(CompleteIntersection(m, (a,))))
-        if abs(values[-1]) > threshold:
-            return a
-    differences = _differences(values)
-    while not _increasing(differences):
-        for k in range(m + 1):
-            differences[k] += differences[k + 1]
-        a0 += 2
-        if abs(differences[0]) > threshold:
-            return a0
-    return _first_beyond(_newton_form(a0, differences), max(a0, a), threshold)
+    return _first_beyond(partial(_hypersurface_number, m), m + 2, threshold)
+
+
+def _hypersurface_number(m: int, a: int) -> int:
+    """Characteristic number of the degree-a hypersurface in CP^{m+1}, for
+    even m and even a >= m+2:
+    2*[(m+2)*(C(k+1, n) + C(k-1, n)) - C(k, n) - C(k+a, n)],
+    n = m+1, k = (a+m)/2.
+
+    This is charclass's Serre-folded Koszul sum at one degree, with
+    chi(t) = C(t+n, n) - C(t-a+n, n) and t0 = k-n, after each binomial of
+    negative top is reflected as C(x, n) = -C(-x-1+n, n) (n is odd).
+    """
+    n, k = m + 1, (a + m) // 2
+    return 2 * ((m + 2) * (comb(k + 1, n) + comb(k - 1, n)) - comb(k, n) - comb(k + a, n))
 
 
 def _first_beyond(value, lo: int, threshold: int) -> int:
-    """Smallest even a > lo with |value(a)| > threshold, given that
-    |value(lo)| <= threshold and |value| increases on even a >= lo:
-    gallop with doubling steps, then bisect."""
+    """Smallest even a > lo with |value(a)| > threshold, given that |value|
+    increases on the even a > lo: gallop with doubling steps, then bisect."""
     step = 2
     while abs(value(lo + step)) <= threshold:
         lo += step
@@ -223,42 +230,6 @@ def _first_beyond(value, lo: int, threshold: int) -> int:
         else:
             lo = mid
     return hi
-
-
-def _differences(values: list[int]) -> list[int]:
-    """The forward differences D^0..D^d at the first of d+1 values."""
-    differences = []
-    while values:
-        differences.append(values[0])
-        values = [after - before for before, after in zip(values, values[1:])]
-    return differences
-
-
-def _increasing(differences: list[int]) -> bool:
-    """Whether the step-2 forward differences D^0..D^d of a polynomial P of
-    degree <= d at a0 prove that |P| strictly increases on a0, a0+2, a0+4, ...
-
-    The differences give P(a0 + 2j) = sum_k C(j, k) D^k, and D^k = 0 for
-    k > d.  If D^0 != 0 and every D^k has the sign s of D^0, then
-    s*P(a0) > 0 and each step
-    s*(P(a0 + 2j + 2) - P(a0 + 2j)) = s * sum_k C(j, k) D^{k+1} >= s*D^1 > 0,
-    so |P| = s*P strictly increases.
-    """
-    sign = (differences[0] > 0) - (differences[0] < 0)
-    return all(sign * d > 0 for d in differences)
-
-
-def _newton_form(a0: int, differences: list[int]):
-    """P on even a >= a0, from its step-2 forward differences D^k at a0:
-    P(a0 + 2j) = sum_k C(j, k) D^k, exactly, for P of degree < len(D)."""
-    def value(a: int) -> int:
-        j = (a - a0) // 2
-        total, binom = 0, 1
-        for k, d in enumerate(differences):
-            total += binom * d
-            binom = binom * (j - k) // (k + 1)
-        return total
-    return value
 
 
 def exceeds_torus(m: int) -> bool:

@@ -16,12 +16,12 @@ from .rsbounds import (cy_hypersurface_bound_closed_form, exceeds_torus,
                        hypersurface_char_number_closed_form, rs_lower_bound)
 
 # Input budgets: at each limit the suite takes under about 1 s in a cold run
-# on a 2-vCPU Xeon (closed-form at MAX_M 0.8 s, torus-inequality 0.3 s;
-# hypersurface-poly at HYPERSURFACE_MAX_M 0.6-0.9 s; symmetric-poly at
-# m = 10, r = 8 0.2 s).  symmetric-poly's time grows with the C(m/2 + r, r)
-# terms of the polynomial it checks, in process: m = 10, r = 8 takes
-# 0.07-0.11 s, m = 12 0.16-0.26 s and m = 16 0.7-1.0 s; at m = 16 the
-# polynomial takes 0.03 s of that, and the checks the rest.
+# on a 2-vCPU Xeon (closed-form at MAX_M 0.7-0.8 s, torus-inequality
+# 0.3-0.4 s; hypersurface-poly at HYPERSURFACE_MAX_M 0.7-0.8 s;
+# symmetric-poly at m = 10, r = 8 0.15-0.2 s).  symmetric-poly's time grows
+# with the C(m/2 + r, r) terms of the polynomial it checks, in process:
+# m = 10, r = 8 takes 0.05-0.06 s, m = 12 0.13 s and m = 16 0.5-0.6 s; at
+# m = 16 the polynomial takes 0.03 s of that, and the checks the rest.
 MAX_M = 1600
 HYPERSURFACE_MAX_M = 100
 SYMMETRIC_MAX_M = 10

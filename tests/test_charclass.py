@@ -20,7 +20,7 @@ from rscount.charclass import (KOSZUL_TERMS_PER_ORDER, MAX_NUMBER_BITS,
                                InvalidInputError, _bernoulli_ratios,
                                _koszul_coefficients, _number_bits,
                                _orderings, _power_sum_numbers,
-                               _riemann_roch_numbers,
+                               _riemann_roch_numbers, _tree_product,
                                a_hat_genus, char_number,
                                char_number_polynomial, curvature_class,
                                first_chern_coefficient, is_spin, rs_index)
@@ -120,6 +120,23 @@ class TestCharNumber:
         assert char_number(CompleteIntersection(4, (3, 3))) == F(-2527, 16)
 
 
+def two_sided_koszul_sum(ci, coeffs):
+    """The Koszul sum without Serre duality, as the reference for its fold:
+    (n+1)(chi(t0+1) + chi(t0-1)) - 2 chi(t0) - sum_j (chi(t0+a_j) + chi(t0-a_j))
+    and chi(t0), n = m + r, t0 = -c_1/2, with each binomial C(x, n) the
+    falling product x(x-1)...(x-n+1)/n!, taken at 2x over 2^n n!."""
+    n = ci.m + ci.codimension
+    twice_t0 = -first_chern_coefficient(ci)
+
+    def chi(shift):
+        return Fraction(sum(c * prod(twice_t0 + 2 * (shift - s + n - i) for i in range(n))
+                            for s, c in coeffs.items()), 2**n * factorial(n))
+
+    charnum = ((n + 1) * (chi(1) + chi(-1)) - 2 * chi(0)
+               - sum(chi(a) + chi(-a) for a in ci.degrees))
+    return charnum, chi(0)
+
+
 class TestRiemannRochRoute:
     """char_number and a_hat_genus go by the Riemann-Roch sum or, past the
     Koszul term limit, by power sums; the series integrand, which shares no
@@ -143,6 +160,23 @@ class TestRiemannRochRoute:
         # the Koszul sum itself, whichever route char_number took
         every_sum = _koszul_coefficients(ci.degrees, 2 ** len(degrees))
         assert _riemann_roch_numbers(ci, every_sum) == (charnum, a_hat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30), st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    @example(2, [1, 1])         # non-spin
+    @example(3, [2, 5])         # odd m
+    @example(30, [2, 3, 5, 7, 11, 12])
+    def test_serre_fold_equals_the_two_sided_sum(self, m, degrees):
+        ci = CompleteIntersection(m, tuple(degrees))
+        every_sum = _koszul_coefficients(ci.degrees, 2 ** len(degrees))
+        assert _riemann_roch_numbers(ci, every_sum) == two_sided_koszul_sum(ci, every_sum)
+
+    def test_tree_product_equals_prod(self):
+        for n in range(41):
+            for top in (2 * n + 1, 2 * n - 1, 3, -7, 10**50 + 1):
+                factors = range(top, top - 2 * n, -2)
+                assert _tree_product(factors) == prod(factors), (n, top)
+            assert _tree_product(list(range(1, n + 1))) == factorial(n)
 
     def test_equal_subset_sums_merge(self):
         # prod (1 - z^2)^19 (1 - z^3): 40 terms where there are 2^20 subsets

@@ -2,6 +2,7 @@
 
 import random
 from functools import cache
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -176,6 +177,15 @@ class TestClosedForms:
         assert char_number(ci) == hypersurface_char_number_closed_form(400)
         assert rs_lower_bound(ci).bound_total == cy_hypersurface_bound_closed_form(400)
 
+    @pytest.mark.parametrize("m", range(2, 61, 2))
+    def test_hypersurface_number_equals_char_number(self, m):
+        rng = random.Random(m)
+        degrees = list(range(m + 2, m + 301, 2))
+        degrees += [2 * rng.randrange(10**(digits - 1) // 2, 10**digits // 2)
+                    for digits in (30, 300) for _ in range(4)]
+        for a in degrees:
+            assert rsbounds._hypersurface_number(m, a) == hypersurface_number(m, a), a
+
     def test_odd_m_rejected(self):
         for fn in (hypersurface_char_number_closed_form,
                    cy_hypersurface_bound_closed_form, exceeds_torus):
@@ -262,77 +272,33 @@ class TestDegreeSearch:
         for threshold in sorted(thresholds - {0}):
             assert find_degree_exceeding(m, threshold) == linear_scan(m, threshold, value)
 
-    @pytest.mark.parametrize("m", [2, 4])
-    def test_failed_certificates_fall_back_to_the_scan(self, m, monkeypatch):
-        certify, refusals, calls = rsbounds._increasing, 5, []
-
-        def refuse_first(differences):
-            calls.append(differences)
-            return certify(differences) if len(calls) > refusals else False
-
-        evaluated = []
-
-        def counted(ci):
-            evaluated.append(ci)
-            return char_number(ci)
-        monkeypatch.setattr(rsbounds, "_increasing", refuse_first)
-        monkeypatch.setattr(rsbounds, "char_number", counted)
-        value = cache(lambda a: hypersurface_number(m, a))
-        for a in range(m + 4, m + 200, 14):
-            for threshold in (abs(value(a)), abs(value(a)) - 1):
-                calls.clear()
-                evaluated.clear()
-                answer = linear_scan(m, threshold, value)
-                assert find_degree_exceeding(m, threshold) == answer
-                # past the first window and the refused ones, the certificate
-                # was asked once more, and held
-                if answer > 3 * m + 6 + 2 * refusals:
-                    assert len(calls) == refusals + 1
-                # the first window fixes P: no evaluation after it
-                assert len(evaluated) <= m + 2
-
-    def test_certificate_holds_at_the_first_degree(self):
-        for m in range(2, 61, 2):
-            values = [hypersurface_number(m, m + 4 + 2 * j) for j in range(m + 2)]
-            assert rsbounds._increasing(rsbounds._differences(values)), m
-
-    def test_certificate_needs_every_difference_of_one_sign(self):
-        # values of 1 + j + j(j-1)/2 and their negatives: differences 1, 1, 1
-        for values, differences in (([1, 2, 4], [1, 1, 1]), ([-1, -2, -4], [-1, -1, -1])):
-            assert rsbounds._differences(values) == differences
-            assert rsbounds._increasing(differences)
-        for values in ([0, 1, 3],       # D^0 = 0
-                       [3, 2, 4],       # D^1 < 0
-                       [1, 3, 4]):      # D^2 < 0
-            assert not rsbounds._increasing(rsbounds._differences(values))
-
-    @pytest.mark.parametrize("m", range(2, 13, 2))
-    def test_newton_form_equals_char_number(self, m):
-        a0 = m + 4
-        window = [hypersurface_number(m, a0 + 2 * j) for j in range(m + 2)]
-        newton = rsbounds._newton_form(a0, rsbounds._differences(window))
-        rng = random.Random(m)
-        degrees = list(range(a0, a0 + 4 * (m + 2), 2))
-        degrees += [2 * rng.randrange(a0 // 2, 10**digits // 2)
-                    for digits in (3, 10, 30, 100, 300) for _ in range(4)]
-        for a in degrees:
-            assert newton(a) == hypersurface_number(m, a), a
-
-    @pytest.mark.parametrize("m, threshold, calls", [
-        (2, 10**30, 4), (2, 10**1000, 4), (40, 10**1000, 42)])
-    def test_char_number_runs_only_at_scanned_degrees(self, m, threshold, calls,
-                                                       monkeypatch):
-        # the first window certifies, so only its m+2 degrees are evaluated
-        evaluated = []
-
-        def counted(ci):
-            evaluated.append(ci.degrees[0])
-            return char_number(ci)
-        monkeypatch.setattr(rsbounds, "char_number", counted)
+    @pytest.mark.parametrize("m, threshold", [
+        (2, 10**30), (2, 10**1000), (40, 10**1000), (1000, 10**1000)],
+        ids=["2-10^30", "2-10^1000", "40-10^1000", "1000-10^1000"])
+    def test_makes_no_char_number_call(self, m, threshold, monkeypatch):
+        def fail(ci):
+            raise AssertionError(f"char_number ran at {ci}")
+        monkeypatch.setattr(rsbounds, "char_number", fail)
         found = find_degree_exceeding(m, threshold)
-        assert evaluated == list(range(m + 4, m + 4 + 2 * calls, 2))
         assert abs(hypersurface_number(m, found)) > threshold
         assert abs(hypersurface_number(m, found - 2)) <= threshold
+
+    def test_monotonicity_proof_inequalities(self):
+        # the steps of find_degree_exceeding's proof, in integers, with
+        # Q(k) = -P(2k - m)/2
+        for m in range(2, 201, 2):
+            def q(k):
+                return -rsbounds._hypersurface_number(m, 2 * k - m) // 2
+            cubic = (m + 2) ** 2 * (m + 3)
+            assert 2 * q(m + 2) == 2 * comb(2 * m + 6, m + 1) - cubic > 0
+            assert comb(2 * m + 6, m + 1) >= comb(2 * m + 6, 3)
+            assert 2 * comb(2 * m + 6, 3) > cubic
+            for k in range(m + 2, m + 201):
+                subtracted = (m + 2) * (comb(k + 1, m) + comb(k - 1, m))
+                step = sum(comb(3 * k - m + j, m) for j in range(3)) + comb(k, m) - subtracted
+                assert q(k + 1) - q(k) == step > 0
+                assert comb(3 * k - m, m) >= 2**m * comb(k + 1, m)
+                assert 3 * 2**m * comb(k + 1, m) > 2 * (m + 2) * comb(k + 1, m) >= subtracted
 
     @pytest.mark.parametrize("m, threshold", [(2, 10**100), (40, 10**1000)])
     def test_reach(self, m, threshold):
