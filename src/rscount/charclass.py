@@ -80,18 +80,27 @@ Chirality = Literal["plus", "minus"]
 KOSZUL_TERMS_PER_ORDER = 3
 
 # Largest complex dimension a CompleteIntersection accepts.  At the limit a
-# cold `compute --complex-dim M --degrees M+4` takes 0.7-0.8 s on a 2-vCPU
+# cold `compute --complex-dim M --degrees M+4` takes about 0.5 s on a 2-vCPU
 # Xeon, most of it in the Koszul sum's math.comb calls, and prints numbers
-# of about 48000 digits.  Larger degrees make larger numbers, which
-# MAX_NUMBER_BITS holds.
+# of about 48000 digits.  Larger degrees make larger numbers, and more
+# degrees more of them, which MAX_KOSZUL_WORK holds.
 MAX_COMPLEX_DIM = 80000
 
-# Largest estimated size in bits (see _number_bits) of the numbers the
-# characteristic numbers are computed from.  Cold on a 2-vCPU Xeon, `compute
-# --complex-dim 80000 --degrees 80004` (about 160000 bits) takes 0.7-0.8 s;
-# past the limit, with the budget lifted, m = 20000 at degree 4*10^6
-# (193000 bits) takes 0.8 s, and at degree 10^20 (1.08M bits) 9.5 s.
-MAX_NUMBER_BITS = 170000
+# Largest estimated work of the Koszul sum: r+2 binomials per signed subset
+# sum, up to the term limit, each costing the square of the estimated bits
+# (see _number_bits) of the largest integer the sum forms.  math.comb(x, k)
+# divides numbers of that size by numbers of about k bits, and division is
+# quadratic on CPython 3.11.  Timed in process on a 2-vCPU Xeon over 76 spin
+# inputs (m = 2..80000, r = 1..20, degrees up to 10^20000), bits^2 tracked
+# the time best: the largest work whose inputs all take under 1 s is
+# 4.3*10^11 on bits^2, 3.2*10^10 on bits^1.8 and 2.7*10^9 on bits^1.6, and
+# that refuses 7, 11 and 14 inputs that take under 1 s.  Below the limit,
+# m = 80000 at degree 2m+4 (6 binomials of 241669 bits, 3.5*10^11) takes
+# 0.78 s, 1.1 s cold; above it, m = 2000 with nineteen degrees 10^6 and one
+# 10^6+1 (880 binomials of 27977 bits, 6.9*10^11) took 0.77 s.  On non-spin
+# inputs the estimate adds the bits of their denominator 2^n n!, n = m + r,
+# which overcounts their time 2 to 5 times.
+MAX_KOSZUL_WORK = 4 * 10**11
 
 # Largest even m the power-sum route takes: it makes about m^2/4 rational
 # products, of numbers that grow with m.  At the limit a cold `compute
@@ -313,9 +322,10 @@ def _power_sum_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
 
 
 def _number_bits(ci: CompleteIntersection) -> float:
-    """Estimated bits of the largest binomial C(x, n), n = m + r, in the
-    Koszul sum, from math.lgamma, before any binomial is computed: |x| is
-    at most about (a_1 + ... + a_r + n)/2 + max_j a_j."""
+    """Estimated bits of the largest integer the Koszul sum forms, from
+    math.lgamma, before any is computed: the largest binomial C(x, n),
+    n = m + r, with |x| at most about (a_1 + ... + a_r + n)/2 + max_j a_j,
+    times 2^n n! on non-spin inputs."""
     n = ci.m + ci.codimension
     x = (sum(ci.degrees) + n) // 2 + max(ci.degrees)
     k = max(0, min(n, x - n))
@@ -323,6 +333,8 @@ def _number_bits(ci: CompleteIntersection) -> float:
         nats = lgamma(x + 1) - lgamma(k + 1) - lgamma(x - k + 1)
     else:  # past float precision: log C(x, k) = k log x - log k! + O(k^2/x)
         nats = k * log(x) - lgamma(k + 1)
+    if not is_spin(ci):
+        nats += n * log(2) + lgamma(n + 1)
     return nats / log(2)
 
 
@@ -334,24 +346,29 @@ def _characteristic_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fractio
     in the pairing is even in h.  Holds the last input: a bound report
     needs both.
 
-    Raises InvalidInputError past MAX_NUMBER_BITS, and on the power-sum
-    route past MAX_POWER_SUM_DIM.
+    Raises InvalidInputError on the power-sum route past MAX_POWER_SUM_DIM,
+    and on either route past MAX_KOSZUL_WORK, before any binomial or power
+    sum is computed.  Past the term limit the work counts the limit's worth
+    of sums: the power sums' numbers grow with the degrees as the
+    binomials' do.
     """
     if ci.m % 2:
         return Fraction(0), Fraction(0)
-    bits = _number_bits(ci)
-    if bits > MAX_NUMBER_BITS:
-        raise InvalidInputError(
-            f"complex dimension {ci.m} with these degrees needs numbers of about "
-            f"{bits:.0f} bits, past MAX_NUMBER_BITS = {MAX_NUMBER_BITS}")
     limit = KOSZUL_TERMS_PER_ORDER * (ci.m + 2)
     coeffs = _koszul_coefficients(ci.degrees, limit)
+    if coeffs is None and ci.m > MAX_POWER_SUM_DIM:
+        raise InvalidInputError(
+            f"the degrees have over {limit} signed subset sums, which takes the "
+            f"power-sum route, and complex dimension {ci.m} is past "
+            f"MAX_POWER_SUM_DIM = {MAX_POWER_SUM_DIM}")
+    binomials = (limit if coeffs is None else len(coeffs)) * (ci.codimension + 2)
+    bits = _number_bits(ci)
+    if binomials * bits**2 > MAX_KOSZUL_WORK:
+        raise InvalidInputError(
+            f"complex dimension {ci.m} with these degrees needs at least {binomials} "
+            f"binomials of about {bits:.0f} bits in the Koszul sum, "
+            f"{binomials * bits**2:.2g} bits^2, past MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}")
     if coeffs is None:
-        if ci.m > MAX_POWER_SUM_DIM:
-            raise InvalidInputError(
-                f"the degrees have over {limit} signed subset sums, which takes the "
-                f"power-sum route, and complex dimension {ci.m} is past "
-                f"MAX_POWER_SUM_DIM = {MAX_POWER_SUM_DIM}")
         return _power_sum_numbers(ci)
     return _riemann_roch_numbers(ci, coeffs)
 

@@ -8,7 +8,9 @@ arithmetic is exact; all values are immutable.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -93,28 +95,16 @@ class MultiPoly:
         return total
 
     def is_symmetric(self) -> bool:
-        """True iff invariant under every permutation of the variables.
-
-        Checked on the transposition of the first two variables and the full
-        cyclic shift, which together generate all permutations.
-        """
-        r = self.num_vars
-        if r == 1:
-            return True
-        swap = list(range(r))
-        swap[0], swap[1] = 1, 0
-        cycle = [(i + 1) % r for i in range(r)]
-        return self._permuted(swap) == self and self._permuted(cycle) == self
-
-    def _permuted(self, target: Sequence[int]) -> "MultiPoly":
-        # target[i] = position that variable i moves to
-        terms: dict[Exponents, Fraction] = {}
+        """True iff invariant under every permutation of the variables: the
+        terms, grouped by their sorted exponent vector, make whole orbits,
+        each holding all r!/prod_v mult(v)! orderings under one coefficient."""
+        orbits: dict[Exponents, list[Fraction]] = {}
         for exponents, coeff in self.terms.items():
-            moved = [0] * self.num_vars
-            for i, exponent in enumerate(exponents):
-                moved[target[i]] = exponent
-            terms[tuple(moved)] = coeff
-        return MultiPoly(self.num_vars, terms)
+            orbits.setdefault(tuple(sorted(exponents)), []).append(coeff)
+        orderings = factorial(self.num_vars)
+        return all(len(set(coeffs)) == 1
+                   and len(coeffs) == orderings // prod(map(factorial, Counter(key).values()))
+                   for key, coeffs in orbits.items())
 
     def _coerced(self, other) -> "MultiPoly | None":
         if isinstance(other, MultiPoly):

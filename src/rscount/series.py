@@ -88,21 +88,12 @@ class PowerSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs])
-
     def __sub__(self, other):
         other = self._resolved(other)
         if other is None:
             return NotImplemented
         n = min(self.order, other.order)
         return PowerSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-
-    def __rsub__(self, other):
-        other = self._resolved(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         """Cauchy product, truncated at the common order."""

@@ -15,16 +15,16 @@ from .rings import MultiPoly
 from .rsbounds import (cy_hypersurface_bound_closed_form, exceeds_torus,
                        hypersurface_char_number_closed_form, rs_lower_bound)
 
-# Input budgets: at each limit the suite takes under about 1 s in a cold run
-# on a 2-vCPU Xeon (closed-form at MAX_M 0.7-0.8 s, torus-inequality
-# 0.3-0.4 s; hypersurface-poly at HYPERSURFACE_MAX_M 0.7-0.8 s;
-# symmetric-poly at m = 10, r = 8 0.15-0.2 s).  symmetric-poly's time grows
-# with the C(m/2 + r, r) terms of the polynomial it checks, in process:
-# m = 10, r = 8 takes 0.05-0.06 s, m = 12 0.13 s and m = 16 0.5-0.6 s; at
-# m = 16 the polynomial takes 0.03 s of that, and the checks the rest.
+# Input budgets: at each limit the suite takes about 1 s or less in a cold
+# run on a 2-vCPU Xeon (closed-form at MAX_M 0.46-0.5 s, torus-inequality
+# 0.23 s; hypersurface-poly at HYPERSURFACE_MAX_M 0.88-0.91 s, 0.76 s in
+# process; symmetric-poly at m = 20, r = 8 1.0-1.16 s).  symmetric-poly's
+# time grows with the C(m/2 + r, r) terms of the polynomial it checks, in
+# process at r = 8: m = 10 takes 0.023 s, m = 16 0.23 s, m = 20 0.86 s and
+# m = 22 1.5 s; at m = 20 the symmetry check takes 0.15 s of that.
 MAX_M = 1600
-HYPERSURFACE_MAX_M = 100
-SYMMETRIC_MAX_M = 10
+HYPERSURFACE_MAX_M = 130
+SYMMETRIC_MAX_M = 20
 SYMMETRIC_MAX_R = 8
 
 

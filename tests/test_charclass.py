@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rscount import charclass
-from rscount.charclass import (KOSZUL_TERMS_PER_ORDER, MAX_NUMBER_BITS,
+from rscount.charclass import (KOSZUL_TERMS_PER_ORDER, MAX_KOSZUL_WORK,
                                CompleteIntersection, CurvatureClass,
                                InvalidInputError, _bernoulli_ratios,
                                _koszul_coefficients, _number_bits,
@@ -214,7 +214,7 @@ class TestRiemannRochRoute:
 
 class TestBudgets:
     """Odd m is zero by parity before either route runs; even m is refused
-    past MAX_NUMBER_BITS, and on the power-sum route past MAX_POWER_SUM_DIM
+    past MAX_KOSZUL_WORK, and on the power-sum route past MAX_POWER_SUM_DIM
     (see tests/test_cli.py), before any binomial or power sum is computed."""
 
     def test_odd_m_runs_neither_route(self, monkeypatch):
@@ -239,9 +239,36 @@ class TestBudgets:
                 largest = max(largest, comb(x, n) if x >= 0 else comb(n - x - 1, n))
         assert largest.bit_length() - 1.01 < _number_bits(ci) < largest.bit_length() + 0.01
 
+    @pytest.mark.parametrize("m, degrees", [
+        (2, (5,)), (40, (43,)), (6, (2, 4, 7)), (8, (3, 5, 7, 11)), (10, (2,) * 18 + (3,))])
+    def test_number_bits_counts_the_non_spin_denominator(self, m, degrees):
+        # each term of a non-spin sum is 2^n n! C(x, n), x a half-integer
+        ci = CompleteIntersection(m, degrees)
+        assert not is_spin(ci)
+        n, twice_t0 = m + len(degrees), -first_chern_coefficient(ci)
+        largest = 0
+        for s in _koszul_coefficients(ci.degrees, 2 ** len(degrees)):
+            for shift in (0, 1, -1, *degrees, *(-a for a in degrees)):
+                twice_x = twice_t0 + 2 * (shift - s + n)
+                largest = max(largest, abs(prod(range(twice_x, twice_x - 2 * n, -2))))
+        assert largest.bit_length() - 2 < _number_bits(ci) < largest.bit_length() + 2
+
+    @pytest.mark.parametrize("m, degrees", [
+        # past the Koszul term limit, so the work counts that limit's worth of sums
+        (300, (2, *(2**k for k in range(1, 14)), 10**100)),
+        # non-spin: 2^n n! makes each term about 1.4 million bits, 3.4 s if computed
+        (80000, (80003,))], ids=["power sums", "non-spin"])
+    def test_work_past_the_budget_is_refused_before_either_route(self, m, degrees, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a route ran past the work budget")
+        for name in ("_riemann_roch_numbers", "_power_sum_numbers"):
+            monkeypatch.setattr(charclass, name, fail)
+        with pytest.raises(InvalidInputError, match=f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}"):
+            char_number(CompleteIntersection(m, degrees))
+
     def test_numbers_past_the_bit_budget_are_refused(self):
         ci = CompleteIntersection(20000, (10**20,))
-        with pytest.raises(InvalidInputError, match=f"MAX_NUMBER_BITS = {MAX_NUMBER_BITS}"):
+        with pytest.raises(InvalidInputError, match=f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}"):
             char_number(ci)
 
 

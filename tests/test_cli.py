@@ -17,7 +17,7 @@ import pytest
 from conftest import golden, run_cli
 
 from rscount import charclass, cli, rsbounds, series, verify
-from rscount.charclass import (MAX_COMPLEX_DIM, MAX_NUMBER_BITS,
+from rscount.charclass import (MAX_COMPLEX_DIM, MAX_KOSZUL_WORK,
                                MAX_POWER_SUM_DIM, CompleteIntersection,
                                char_number)
 from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
@@ -403,12 +403,28 @@ class TestInputBudgets:
         result = json.loads(capsys.readouterr().out)["result"]
         assert (result["spin"], result["charnum"]) == (True, "0")
 
+    @pytest.mark.parametrize("m, degrees", [
+        # spin, 2^15 signed subset sums of about 85000 bits: hours of binomials
+        (40000, [2**k for k in range(1, 16)]),
+        # 10^6 + 1 and 10^6 + 2^k, k = 1..11: 2^12 sums of about 26600 bits, 40 s
+        (2000, [10**6 + 1] + [10**6 + 2**k for k in range(1, 12)]),
+    ], ids=["40000", "2000"])
+    def test_koszul_work(self, m, degrees, monkeypatch, capsys):
+        # under the term limit, so only the work budget stops the sum
+        def fail(*args):
+            raise AssertionError("the Koszul sum ran past its work budget")
+        monkeypatch.setattr(charclass, "_riemann_roch_numbers", fail)
+        assert cli.main(["compute", "--complex-dim", str(m), "--degrees", *map(str, degrees)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}" in err
+
     def test_number_size(self, capsys):
         argv = ["compute", "--complex-dim", "20000", "--degrees", str(10**20)]
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"MAX_NUMBER_BITS = {MAX_NUMBER_BITS}" in err
+        assert f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}" in err
 
 
 class TestGlobalFlags:

@@ -1,7 +1,9 @@
 """README's examples must run: each ``rscount ...`` line of the shell block
 in its CLI section exits 0, and the Python block of its Library section
-gives the values its comments state."""
+gives the values its comments state.  The budgets its CLI section quotes
+are the library's."""
 
+import importlib
 import re
 import shlex
 
@@ -28,6 +30,17 @@ def test_example_exits_0(line):
     proc = run_cli(*shlex.split(line)[1:])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_budgets_quoted_in_the_cli_section_are_the_library_values():
+    """Each `module.NAME` = value, with 10^k and c·10^k read as powers."""
+    section = _section("CLI")
+    quoted = re.findall(r"`(\w+)\.([A-Z][A-Z_]*)` =\s+(?:(\d+)·)?(10\^)?(\d+)", section)
+    assert len(quoted) >= 11
+    assert re.findall(r"`[A-Z][A-Z_]*` = \d", section) == []  # each name has its module
+    for module, name, factor, power, number in quoted:
+        value = int(factor or 1) * (10 ** int(number) if power else int(number))
+        assert getattr(importlib.import_module(f"rscount.{module}"), name) == value, name
 
 
 def test_library_example_gives_its_commented_values(capsys):

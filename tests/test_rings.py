@@ -1,10 +1,11 @@
 """Contract and property tests for exact rationals and sparse polynomials."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rscount.rings import MultiPoly
@@ -20,6 +21,26 @@ def multipolys(num_vars=2, max_exponent=3, max_terms=4):
     exponents = st.tuples(*[st.integers(0, max_exponent)] * num_vars)
     return st.dictionaries(exponents, rationals(9, 9), max_size=max_terms).map(
         lambda terms: MultiPoly(num_vars, terms))
+
+
+def permuted_terms(poly, order):
+    """The terms of ``poly`` with variable ``order[i]`` moved to position i."""
+    return {tuple(exponents[i] for i in order): c for exponents, c in poly.terms.items()}
+
+
+@st.composite
+def maybe_symmetrized_multipolys(draw):
+    """Polynomials in 1..4 variables, half of them summed over every
+    permutation of their variables."""
+    r = draw(st.integers(1, 4))
+    poly = draw(multipolys(num_vars=r, max_exponent=2, max_terms=5))
+    if draw(st.booleans()):
+        terms = {}
+        for order in permutations(range(r)):
+            for exponents, c in permuted_terms(poly, order).items():
+                terms[exponents] = terms.get(exponents, 0) + c
+        poly = MultiPoly(r, terms)
+    return poly
 
 
 class TestRationalArithmetic:
@@ -183,3 +204,20 @@ class TestSymmetry:
         elementary = a[0] * a[1] + a[0] * a[2] + a[1] * a[2]
         assert elementary.is_symmetric()
         assert not (a[0] * a[1] + a[1] * a[2]).is_symmetric()
+
+    def test_an_orbit_with_a_member_missing_is_not_symmetric(self):
+        # a1^2*a2 + a1^2*a3 + a2^2*a1 + a2^2*a3 + a3^2*a1, without a3^2*a2
+        orbit = [(2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2)]
+        assert not MultiPoly(3, dict.fromkeys(orbit, 1)).is_symmetric()
+        assert MultiPoly(3, dict.fromkeys(orbit + [(0, 1, 2)], 1)).is_symmetric()
+
+    def test_an_orbit_with_two_coefficients_is_not_symmetric(self):
+        assert not MultiPoly(2, {(2, 0): 1, (0, 2): 2, (1, 1): 5}).is_symmetric()
+        assert not MultiPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}).is_symmetric()
+
+    @given(maybe_symmetrized_multipolys())
+    @example(MultiPoly(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1}))
+    def test_agrees_with_applying_every_permutation(self, poly):
+        expected = all(permuted_terms(poly, order) == poly.terms
+                       for order in permutations(range(poly.num_vars)))
+        assert poly.is_symmetric() == expected
