@@ -99,7 +99,9 @@ MAX_COMPLEX_DIM = 80000
 # 0.78 s, 1.1 s cold; above it, m = 2000 with nineteen degrees 10^6 and one
 # 10^6+1 (880 binomials of 27977 bits, 6.9*10^11) took 0.77 s.  On non-spin
 # inputs the estimate adds the bits of their denominator 2^n n!, n = m + r,
-# which overcounts their time 2 to 5 times.
+# which overcounts their time 2 to 5 times.  Each binomial also counts 400^2,
+# for its call and the arithmetic around it: with 2001 degrees 2 at m = 80000
+# (vanishing binomials) each took as long as 1.2 to 1.8*10^5 bits^2, on two hosts.
 MAX_KOSZUL_WORK = 4 * 10**11
 
 # Largest even m the power-sum route takes: it makes about m^2/4 rational
@@ -212,39 +214,48 @@ def _koszul_coefficients(degrees: Sequence[int], limit: int) -> dict[int, int] |
 
 def _riemann_roch_numbers(ci: CompleteIntersection,
                           coeffs: dict[int, int]) -> tuple[Fraction, Fraction]:
-    """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>) by the Koszul sum.
+    """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>) by the Koszul sum."""
+    charnum, a_hat, denominator = _folded_koszul_sum(ci.m, ci.degrees, coeffs)
+    return Fraction(charnum, denominator), Fraction(a_hat, denominator)
+
+
+def _folded_koszul_sum(m: int, degrees: Sequence[int],
+                       coeffs: dict[int, int]) -> tuple[int, int, int]:
+    """(D <A-hat(TM) ch(T^C M), [M]>, D <A-hat(TM), [M]>, D), in integers,
+    for dimension m, the degrees and their signed subset sums {s: c_s}.
 
     chi(M, O(t)) = sum_s c_s C(t - s + n, n) with n = m + r.  Serre duality
     gives chi(t0 + s) = (-1)^m chi(t0 - s), so for even m the sum folds to
     2*[(n+1) chi(t0+1) - chi(t0) - sum_j chi(t0+a_j)], and for odd m both
-    numbers are zero.  On spin inputs t0 is an integer and each binomial is
-    a math.comb, reflected as C(x, n) = (-1)^n C(n - x - 1, n) for x < 0.
-    Otherwise t0 is a half-integer, and 2^n n! C(x, n) = prod_{i<n} (2x - 2i)
-    is an integer, so the sums stay in integers over that one denominator.
+    numbers are zero.  Each binomial is computed once, reflected as
+    C(x, n) = (-1)^n C(n-1-x, n) for 2x < n-1.  On spin inputs t0 is an
+    integer, D = 1 and each binomial is a math.comb.  Otherwise t0 is a
+    half-integer, and D = 2^n n! makes D C(x, n) = prod_{i<n} (2x - 2i) an integer.
     """
-    if ci.m % 2:
-        return Fraction(0), Fraction(0)
-    n = ci.m + ci.codimension
-    twice_t0 = -first_chern_coefficient(ci)
+    if m % 2:
+        return 0, 0, 1
+    n = m + len(degrees)
+    twice_t0 = sum(degrees) - n - 1
     spin = twice_t0 % 2 == 0
     denominator = 1 if spin else 2**n * factorial(n)
+    sign, binomials = (-1) ** n, {}
 
     def chi(shift: int) -> int:
-        """denominator * chi(M, O(t0 + shift))"""
+        """D * chi(M, O(t0 + shift))"""
         total = 0
         for s, c in coeffs.items():
-            if spin:
-                x = twice_t0 // 2 + shift - s + n
-                term = comb(x, n) if x >= 0 else (-1) ** n * comb(n - x - 1, n)
-            else:
-                twice_x = twice_t0 + 2 * (shift - s + n)
-                term = _tree_product(range(twice_x, twice_x - 2 * n, -2))
-            total += c * term
+            twice_x = twice_t0 + 2 * (shift - s + n)
+            if twice_x < n - 1:
+                twice_x, c = 2 * n - 2 - twice_x, sign * c
+            if twice_x not in binomials:
+                binomials[twice_x] = (comb(twice_x // 2, n) if spin
+                                      else _tree_product(range(twice_x, twice_x - 2 * n, -2)))
+            total += c * binomials[twice_x]
         return total
 
     a_hat = chi(0)
-    charnum = 2 * ((n + 1) * chi(1) - a_hat - sum(chi(a) for a in ci.degrees))
-    return Fraction(charnum, denominator), Fraction(a_hat, denominator)
+    charnum = 2 * ((n + 1) * chi(1) - a_hat - sum(chi(a) for a in degrees))
+    return charnum, a_hat, denominator
 
 
 def _tree_product(factors: Sequence[int]) -> int:
@@ -338,6 +349,17 @@ def _number_bits(ci: CompleteIntersection) -> float:
     return nats / log(2)
 
 
+def _require_koszul_work(ci: CompleteIntersection, sums: int) -> None:
+    """Refuses the Koszul sum over ``sums`` signed subset sums past MAX_KOSZUL_WORK."""
+    binomials, bits = sums * (ci.codimension + 2), _number_bits(ci)
+    work = binomials * (bits**2 + 400**2)
+    if work > MAX_KOSZUL_WORK:
+        raise InvalidInputError(
+            f"complex dimension {ci.m} with these degrees needs at least {binomials} "
+            f"binomials of about {bits:.0f} bits in the Koszul sum, {work:.2g} at "
+            f"bits^2 + 400^2 each, past MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}")
+
+
 @lru_cache(maxsize=1)
 def _characteristic_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
     """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>), by the Koszul sum
@@ -355,19 +377,16 @@ def _characteristic_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fractio
     if ci.m % 2:
         return Fraction(0), Fraction(0)
     limit = KOSZUL_TERMS_PER_ORDER * (ci.m + 2)
+    # prod_j (1 - z^{a_j}) has a root of order r at z = 1, so by Descartes' rule
+    # of signs at least r+1 terms, whose work is checked before any is formed
+    _require_koszul_work(ci, min(ci.codimension + 1, limit))
     coeffs = _koszul_coefficients(ci.degrees, limit)
     if coeffs is None and ci.m > MAX_POWER_SUM_DIM:
         raise InvalidInputError(
             f"the degrees have over {limit} signed subset sums, which takes the "
             f"power-sum route, and complex dimension {ci.m} is past "
             f"MAX_POWER_SUM_DIM = {MAX_POWER_SUM_DIM}")
-    binomials = (limit if coeffs is None else len(coeffs)) * (ci.codimension + 2)
-    bits = _number_bits(ci)
-    if binomials * bits**2 > MAX_KOSZUL_WORK:
-        raise InvalidInputError(
-            f"complex dimension {ci.m} with these degrees needs at least {binomials} "
-            f"binomials of about {bits:.0f} bits in the Koszul sum, "
-            f"{binomials * bits**2:.2g} bits^2, past MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}")
+    _require_koszul_work(ci, limit if coeffs is None else len(coeffs))
     if coeffs is None:
         return _power_sum_numbers(ci)
     return _riemann_roch_numbers(ci, coeffs)

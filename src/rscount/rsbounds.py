@@ -9,22 +9,20 @@ flat tori supply comparison counts and product constructions for the
 remaining dimensions.
 
 ``find_degree_exceeding`` turns the unbounded growth of these numbers along
-hypersurfaces into a concrete degree.  Serre duality folds the Koszul sum of
-the degree-a hypersurface into four binomials, whose absolute value provably
-increases with a from m+4 on, so the search gallops and bisects on that
-closed form in exact integers.  Thresholds are limited to THRESHOLD_DIGITS
-decimal digits.
+hypersurfaces into a concrete degree.  The degree-a hypersurface's number
+P(a), which charclass's Koszul sum gives, provably increases in absolute value
+with a from m+4 on, so the search gallops and bisects on that sum in exact
+integers.  Thresholds are limited to THRESHOLD_DIGITS decimal digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import comb
 
 from .charclass import (MAX_COMPLEX_DIM, CompleteIntersection, CurvatureClass,
-                        InvalidInputError, _require_int, a_hat_genus,
+                        InvalidInputError, _folded_koszul_sum, _require_int, a_hat_genus,
                         char_number, curvature_class, is_spin, rs_index_from)
 
 # Decimal digits a threshold of find_degree_exceeding may have; 10^1000 is
@@ -143,15 +141,11 @@ def rs_lower_bound(ci: CompleteIntersection) -> RSBoundReport:
 
 
 def hypersurface_char_number_closed_form(m: int) -> int:
-    """Characteristic number of the degree-(m+2) hypersurface in CP^{m+1},
-    in closed form: -2*[C(2m+3, m+1) + 1 - (m+2)^2], for even m.
-
-    ``_hypersurface_number`` at a = m+2, where C(k+1, n) = m+2,
-    C(k-1, n) = 0 and C(k, n) = 1.  An independent route to the value of
-    ``char_number``; the two must agree.
-    """
+    """Characteristic number of the degree-(m+2) hypersurface in CP^{m+1}
+    for even m, -2*[C(2m+3, m+1) + 1 - (m+2)^2]: a route that shares no code
+    with ``char_number``, whose value it must equal."""
     _require_int(m, "m", 2, even=True)
-    return _hypersurface_number(m, m + 2)
+    return -2 * (comb(2 * m + 3, m + 1) + 1 - (m + 2) ** 2)
 
 
 def cy_hypersurface_bound_closed_form(m: int) -> int:
@@ -174,13 +168,13 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
 
     Even a gives a spin hypersurface; a > m+2 makes c_1 negative.  The
     search gallops with doubling steps from a = m+4, then bisects, on the
-    closed form P(a) of ``_hypersurface_number``, in exact integers; it
-    never calls ``char_number``.  That search finds the first degree past
-    the threshold because |P| strictly increases on even a >= m+4:
+    hypersurface's number P(a), charclass's Serre-folded Koszul sum at
+    degrees (a,) and signed subset sums {0: 1, a: -1}.  Its answer is the
+    first degree past the threshold, as |P| strictly increases on even a >= m+4:
 
-    With k = (a+m)/2, n = m+1 and Q(k) = -P/2 = C(k, n) + C(3k-m, n)
-    - (m+2)*(C(k+1, n) + C(k-1, n)), Pascal's rule gives
-    Q(k+1) - Q(k) = sum_{j<3} C(3k-m+j, m) + C(k, m)
+    With n = m+1 (odd), k = (a+m)/2 and C(x, n) = -C(n-x-1, n) for x < 0, the
+    fold is P = -2Q, Q(k) = C(k, n) + C(3k-m, n) - (m+2)*(C(k+1, n) + C(k-1, n)),
+    and Pascal's rule gives Q(k+1) - Q(k) = sum_{j<3} C(3k-m+j, m) + C(k, m)
     - (m+2)*(C(k+1, m) + C(k-1, m)).  For k >= m+2 every factor
     (3k-m-i)/(k+1-i), i < m, of C(3k-m, m)/C(k+1, m) is at least 2, so
     3*C(3k-m, m) >= 3*2^m*C(k+1, m) > 2(m+2)*C(k+1, m), which is at least
@@ -198,21 +192,7 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
     if threshold >= _THRESHOLD_LIMIT:
         raise InvalidInputError(
             f"threshold has more than THRESHOLD_DIGITS = {THRESHOLD_DIGITS} decimal digits")
-    return _first_beyond(partial(_hypersurface_number, m), m + 2, threshold)
-
-
-def _hypersurface_number(m: int, a: int) -> int:
-    """Characteristic number of the degree-a hypersurface in CP^{m+1}, for
-    even m and even a >= m+2:
-    2*[(m+2)*(C(k+1, n) + C(k-1, n)) - C(k, n) - C(k+a, n)],
-    n = m+1, k = (a+m)/2.
-
-    This is charclass's Serre-folded Koszul sum at one degree, with
-    chi(t) = C(t+n, n) - C(t-a+n, n) and t0 = k-n, after each binomial of
-    negative top is reflected as C(x, n) = -C(-x-1+n, n) (n is odd).
-    """
-    n, k = m + 1, (a + m) // 2
-    return 2 * ((m + 2) * (comb(k + 1, n) + comb(k - 1, n)) - comb(k, n) - comb(k + a, n))
+    return _first_beyond(lambda a: _folded_koszul_sum(m, (a,), {0: 1, a: -1})[0], m + 2, threshold)
 
 
 def _first_beyond(value, lo: int, threshold: int) -> int:

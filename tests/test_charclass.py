@@ -226,6 +226,33 @@ class TestBudgets:
         assert (char_number(ci), a_hat_genus(ci)) == (0, 0)
 
     @pytest.mark.parametrize("m, degrees", [
+        (7, (9,)),                                      # spin
+        (3, (2, 5)),                                    # non-spin
+        (21, tuple(2**k for k in range(1, 9)) + (513,)),  # spin, 512 sums
+        (21, tuple(2**k for k in range(1, 10))),        # non-spin, 512 sums
+    ])
+    def test_odd_m_evaluates_no_binomial(self, m, degrees, monkeypatch):
+        # the last two are past the term limit of 3*(21+2) sums
+        calls = []
+
+        def counted(function):
+            def wrapper(*args):
+                calls.append(function.__name__)
+                return function(*args)
+            return wrapper
+        for name in ("comb", "_tree_product", "_power_sum_pairings"):
+            monkeypatch.setattr(charclass, name, counted(getattr(charclass, name)))
+        charclass._characteristic_numbers.cache_clear()
+        ci = CompleteIntersection(m, degrees)
+        assert (char_number(ci), a_hat_genus(ci)) == (0, 0)
+        if is_spin(ci):
+            assert rs_index(ci, "plus") == rs_index(ci, "minus") == 0
+        assert calls == []
+        # the counters see what the even-m neighbour evaluates
+        char_number(CompleteIntersection(m - 1, degrees))
+        assert calls
+
+    @pytest.mark.parametrize("m, degrees", [
         (2, (4,)), (400, (402,)), (100, (10**6,)), (20, (10**30,)),
         (6, (2, 4, 6)), (8, (3, 5, 7, 10)), (10, (2,) * 19 + (3,))])
     def test_number_bits_estimates_the_largest_binomial(self, m, degrees):
@@ -254,10 +281,14 @@ class TestBudgets:
         assert largest.bit_length() - 2 < _number_bits(ci) < largest.bit_length() + 2
 
     @pytest.mark.parametrize("m, degrees", [
-        # past the Koszul term limit, so the work counts that limit's worth of sums
+        # past the Koszul term limit, and past the budget already at r+1 sums
         (300, (2, *(2**k for k in range(1, 14)), 10**100)),
         # non-spin: 2^n n! makes each term about 1.4 million bits, 3.4 s if computed
-        (80000, (80003,))], ids=["power sums", "non-spin"])
+        (80000, (80003,)),
+        # within the budget at r+1 = 16 sums of about 10600 bits, past it at
+        # the term limit's 906, whose worth the work counts
+        (300, (2, *(2**k for k in range(1, 14)), 10**12))],
+        ids=["power sums", "non-spin", "term limit"])
     def test_work_past_the_budget_is_refused_before_either_route(self, m, degrees, monkeypatch):
         def fail(*args):
             raise AssertionError("a route ran past the work budget")
@@ -265,6 +296,17 @@ class TestBudgets:
             monkeypatch.setattr(charclass, name, fail)
         with pytest.raises(InvalidInputError, match=f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}"):
             char_number(CompleteIntersection(m, degrees))
+
+    def test_vanishing_binomials_count_toward_the_work(self, monkeypatch):
+        # Fano, so every binomial is zero: 2002 signed subset sums, 2 s if
+        # computed.  r+1 = 2002 sums are past the budget at 400^2 each, so
+        # none is formed.
+        def fail(*args):
+            raise AssertionError("the Koszul sum began past the work budget")
+        for name in ("_koszul_coefficients", "_riemann_roch_numbers", "_power_sum_numbers"):
+            monkeypatch.setattr(charclass, name, fail)
+        with pytest.raises(InvalidInputError, match=f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}"):
+            char_number(CompleteIntersection(80000, (2,) * 2001))
 
     def test_numbers_past_the_bit_budget_are_refused(self):
         ci = CompleteIntersection(20000, (10**20,))

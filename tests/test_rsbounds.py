@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rscount import rsbounds, verify
+from rscount import charclass, rsbounds, verify
 from rscount.charclass import (CompleteIntersection, CurvatureClass,
                                InvalidInputError, char_number,
                                char_number_polynomial)
@@ -177,6 +177,18 @@ class TestClosedForms:
         assert char_number(ci) == hypersurface_char_number_closed_form(400)
         assert rs_lower_bound(ci).bound_total == cy_hypersurface_bound_closed_form(400)
 
+    def test_closed_forms_share_no_code_with_the_koszul_sum(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the Koszul sum ran")
+        monkeypatch.setattr(charclass, "_folded_koszul_sum", fail)
+        monkeypatch.setattr(rsbounds, "_folded_koszul_sum", fail)
+        for m, bound, _ in CALABI_YAU_TABLE:
+            assert hypersurface_char_number_closed_form(m) == -bound - 2 ** (m // 2)
+            assert cy_hypersurface_bound_closed_form(m) == bound
+        # while the degree search runs on it
+        with pytest.raises(AssertionError, match="the Koszul sum ran"):
+            find_degree_exceeding(2, 1000)
+
     def test_odd_m_rejected(self):
         for fn in (hypersurface_char_number_closed_form,
                    cy_hypersurface_bound_closed_form, exceeds_torus):
@@ -228,6 +240,24 @@ def hypersurface_number(m, a):
     return char_number(CompleteIntersection(m, (a,)))
 
 
+def search_number(m, a):
+    """P(a) as find_degree_exceeding evaluates it: charclass's Serre-folded
+    Koszul sum at degrees (a,), whose signed subset sums are {0: 1, a: -1}."""
+    return charclass._folded_koszul_sum(m, (a,), {0: 1, a: -1})[0]
+
+
+def four_binomial_number(m, a):
+    """The search's oracle, which shares no code with it: P(a) for even m and
+    even a >= m+2 in four binomials,
+    2*[(m+2)*(C(k+1, n) + C(k-1, n)) - C(k, n) - C(k+a, n)], n = m+1,
+    k = (a+m)/2.  This is the folded sum 2*[(n+1) chi(t0+1) - chi(t0)
+    - chi(t0+a)] with chi(t) = C(t+n, n) - C(t-a+n, n) and t0 = k-n, after
+    each binomial of negative top is reflected as C(x, n) = -C(n-x-1, n)
+    (n is odd)."""
+    n, k = m + 1, (a + m) // 2
+    return 2 * ((m + 2) * (comb(k + 1, n) + comb(k - 1, n)) - comb(k, n) - comb(k + a, n))
+
+
 def linear_scan(m, threshold, value):
     """The reference search: every even degree from m+4, in order."""
     a = m + 4
@@ -265,13 +295,14 @@ class TestDegreeSearch:
 
     @pytest.mark.parametrize("m", range(2, 61, 2))
     def test_newton_form_equals_char_number(self, m):
-        # the closed form the search evaluates, against the Koszul sum
+        # the number the search evaluates, against the four-binomial oracle
+        # and char_number
         rng = random.Random(m)
         degrees = list(range(m + 2, m + 301, 2))
         degrees += [2 * rng.randrange(10**(digits - 1) // 2, 10**digits // 2)
                     for digits in (3, 10, 30, 100, 300) for _ in range(4)]
         for a in degrees:
-            assert rsbounds._hypersurface_number(m, a) == hypersurface_number(m, a), a
+            assert search_number(m, a) == four_binomial_number(m, a) == hypersurface_number(m, a), a
 
     @pytest.mark.parametrize("m, threshold", [
         (2, 10**30), (2, 10**1000), (40, 10**1000), (1000, 10**1000)])
@@ -291,10 +322,10 @@ class TestDegreeSearch:
 
     def test_monotonicity_proof_inequalities(self):
         # the steps of find_degree_exceeding's proof, in integers, with
-        # Q(k) = -P(2k - m)/2
+        # Q(k) = -P(2k - m)/2 on the four-binomial oracle
         for m in range(2, 201, 2):
             def q(k):
-                return -rsbounds._hypersurface_number(m, 2 * k - m) // 2
+                return -four_binomial_number(m, 2 * k - m) // 2
             cubic = (m + 2) ** 2 * (m + 3)
             assert 2 * q(m + 2) == 2 * comb(2 * m + 6, m + 1) - cubic > 0
             assert comb(2 * m + 6, m + 1) >= comb(2 * m + 6, 3)
