@@ -56,7 +56,19 @@ def _decimal(value: int | Fraction) -> str:
         f"{chunk:0{_CHUNK_DIGITS}d}" for chunk in reversed(chunks))
 
 
+class _FixedWidthFormatter(argparse.HelpFormatter):
+    # A fixed width keeps help and usage text the same in any terminal, and
+    # spares the shutil.get_terminal_size call that argparse otherwise makes
+    # for every formatter, one per added argument.  78 is the width argparse
+    # uses when stdout is not a terminal.
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 class _ExitOneParser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_FixedWidthFormatter, **kwargs)
+
     # argparse exits 2 on bad flags; 2 is reserved here for inputs the
     # theorem does not cover, so usage errors exit 1 instead.
     def error(self, message):
@@ -65,7 +77,7 @@ class _ExitOneParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = _ExitOneParser(add_help=False)
     shared.add_argument("--format", choices=FORMATS, default="json",
                         help="output format (default: json)")
     shared.add_argument("--quiet", action="store_true",

@@ -143,15 +143,16 @@ def rs_lower_bound(ci: CompleteIntersection) -> RSBoundReport:
 def hypersurface_char_number_closed_form(m: int) -> int:
     """Characteristic number of the degree-(m+2) hypersurface in CP^{m+1}
     for even m, -2*[C(2m+3, m+1) + 1 - (m+2)^2]: a route that shares no code
-    with ``char_number``, whose value it must equal."""
-    _require_int(m, "m", 2, even=True)
+    with ``char_number``, whose value it must equal.  m is at most
+    MAX_COMPLEX_DIM, as for ``char_number``."""
+    _require_int(m, "m", 2, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM", even=True)
     return -2 * (comb(2 * m + 3, m + 1) + 1 - (m + 2) ** 2)
 
 
 def cy_hypersurface_bound_closed_form(m: int) -> int:
     """Closed-form Rarita-Schwinger bound for the Calabi-Yau hypersurface of
     degree m+2 in CP^{m+1}: 2*[C(2m+3, m+1) + 1 - (m+2)^2] - 2^{m/2}."""
-    _require_int(m, "m", 2, even=True)
+    _require_int(m, "m", 2, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM", even=True)
     return -hypersurface_char_number_closed_form(m) - 2 ** (m // 2)
 
 
@@ -214,6 +215,7 @@ def _first_beyond(value, lo: int, threshold: int) -> int:
 
 def exceeds_torus(m: int) -> bool:
     """Whether the Calabi-Yau hypersurface bound beats the flat-torus count
-    in the same real dimension 2m.  True for every even m >= 2."""
-    _require_int(m, "m", 2, even=True)
+    in the same real dimension 2m.  True for every even m >= 2 (up to
+    MAX_COMPLEX_DIM)."""
+    _require_int(m, "m", 2, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM", even=True)
     return cy_hypersurface_bound_closed_form(m) > torus_rs_dimension(2 * m)

@@ -8,6 +8,7 @@ numeric content.
 import contextlib
 import gc
 import json
+import shutil
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -425,6 +426,42 @@ class TestInputBudgets:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}" in err
+
+
+class TestHelpText:
+    def test_no_call_probes_the_terminal(self, monkeypatch, capsys):
+        def probe(*args, **kwargs):
+            raise AssertionError("the CLI probed the terminal")
+        monkeypatch.setattr(shutil, "get_terminal_size", probe)
+        assert cli.main(["compute", "--complex-dim", "2", "--degrees", "4"]) == 0
+        assert capsys.readouterr().out == golden("compute_k3.json")
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["search", "--help"])
+        assert exited.value.code == 0
+        assert "--threshold C" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--help",), 0),
+        (("compute", "--help"), 0),
+        (("compute", "--complex-dim", "2"), 1),
+    ])
+    def test_same_bytes_at_any_terminal_width(self, argv, code, monkeypatch):
+        runs = []
+        for columns in ("40", "200", None):
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            proc = run_cli(*argv)
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert runs[0] == runs[1] == runs[2]
+        returncode, stdout, stderr = runs[0]
+        assert returncode == code
+        text = stdout if code == 0 else stderr
+        assert text.startswith("usage: rscount")
+        assert max(map(len, text.splitlines())) <= 78
+        if code:
+            assert stdout == "" and "required: --degrees" in stderr
 
 
 class TestGlobalFlags:

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rscount import charclass, rsbounds, verify
-from rscount.charclass import (CompleteIntersection, CurvatureClass,
-                               InvalidInputError, char_number,
+from rscount.charclass import (MAX_COMPLEX_DIM, CompleteIntersection,
+                               CurvatureClass, InvalidInputError, char_number,
                                char_number_polynomial)
 from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               TheoremInapplicableError,
@@ -194,6 +194,14 @@ class TestClosedForms:
                    cy_hypersurface_bound_closed_form, exceeds_torus):
             with pytest.raises(ValueError):
                 fn(3)
+
+    @pytest.mark.parametrize("fn", [hypersurface_char_number_closed_form,
+                                    cy_hypersurface_bound_closed_form, exceeds_torus])
+    def test_complex_dimension_budget(self, fn):
+        # past the budget C(2m+3, m+1) takes seconds: about 1.7 s at
+        # m = 160000 on a 2-vCPU Xeon
+        with pytest.raises(InvalidInputError, match="MAX_COMPLEX_DIM"):
+            fn(MAX_COMPLEX_DIM + 2)
 
 
 class TestProductBound:
