@@ -1,9 +1,9 @@
 """Exact characteristic numbers of complete intersections in complex
 projective space, and the Rarita-Schwinger dimension bounds they imply.
 
-Everything is exact: the numbers come from a Riemann-Roch sum of binomials,
-and past its term limit, like the characteristic polynomial, from a
-recurrence in the power sums of the degrees (``charclass``).  The truncated
+Everything is exact: the numbers come from a Riemann-Roch sum of binomials
+or, where a cost model prices it lower, like the characteristic polynomial,
+from a recurrence in the power sums of the degrees (``charclass``).  The truncated
 power series of ``rscount.series`` have no production caller; they stay as
 the tests' independent oracle.
 """
@@ -16,8 +16,8 @@ from .charclass import (CompleteIntersection, CurvatureClass,
                         first_chern_coefficient, is_spin, rs_index)
 from .rings import MultiPoly
 from .rsbounds import (RSBoundReport, TheoremInapplicableError,
-                       cy_hypersurface_bound_closed_form, exceeds_torus,
-                       find_degree_exceeding,
+                       cy_hypersurface_bound_closed_form, degree_search_report,
+                       exceeds_torus, find_degree_exceeding,
                        hypersurface_char_number_closed_form,
                        max_parallel_spinors, product_bound, rs_lower_bound,
                        torus_parallel_spinors, torus_rs_dimension)
@@ -34,6 +34,7 @@ __all__ = [
     "char_number_polynomial",
     "curvature_class",
     "cy_hypersurface_bound_closed_form",
+    "degree_search_report",
     "exceeds_torus",
     "find_degree_exceeding",
     "first_chern_coefficient",

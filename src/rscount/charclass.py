@@ -28,9 +28,10 @@ the Koszul resolution gives as
 (Hirzebruch, Topological Methods in Algebraic Geometry).  Serre duality,
 chi(t0 + s) = (-1)^m chi(t0 - s), folds the first sum onto its positive
 shifts.  t0 is an integer on spin inputs and a half-integer otherwise.
-The sum has one term per distinct signed subset sum s, up to 2^r of them;
-past KOSZUL_TERMS_PER_ORDER * (m+2) terms the numbers go by power sums
-instead.
+The sum has one term per distinct signed subset sum s, up to 2^r of them.
+A cost model prices it, at r+2 binomials per term, against the power sums
+below before either runs; the cheaper route runs, and an input whose cheaper
+estimate is past MAX_ESTIMATED_SECONDS is refused.
 
 The power-sum route serves those numbers and the polynomial
 ``char_number_polynomial``.  Pairing picks out the h^m coefficient times
@@ -60,7 +61,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, lgamma, log, prod
 from operator import itemgetter
@@ -70,45 +70,39 @@ from .rings import MultiPoly
 
 Chirality = Literal["plus", "minus"]
 
-# The Koszul sum costs r+2 binomials per signed subset sum of the
-# degrees; the power-sum route about m^2/4 rational products, whatever r is.
-# Timed over m = 2..120 and r = 4..12 on distinct powers of two (2^r sums),
-# spin and non-spin, the sum is the faster one up to a median of 1.5(m+2)
-# sums on non-spin inputs and 3(m+2) on spin ones (0.3 to 5 and 0.5 to 150
-# times m+2).  Summed over that grid, a limit of 3(m+2) sums takes 2% longer
-# than always taking the faster route, and no input takes over 2x longer.
-KOSZUL_TERMS_PER_ORDER = 3
-
 # Largest complex dimension a CompleteIntersection accepts.  At the limit a
 # cold `compute --complex-dim M --degrees M+4` takes about 0.5 s on a 2-vCPU
 # Xeon, most of it in the Koszul sum's math.comb calls, and prints numbers
 # of about 48000 digits.  Larger degrees make larger numbers, and more
-# degrees more of them, which MAX_KOSZUL_WORK holds.
+# degrees more of them, which MAX_ESTIMATED_SECONDS holds.
 MAX_COMPLEX_DIM = 80000
 
-# Largest estimated work of the Koszul sum: r+2 binomials per signed subset
-# sum, up to the term limit, each costing the square of the estimated bits
-# (see _number_bits) of the largest integer the sum forms.  math.comb(x, k)
-# divides numbers of that size by numbers of about k bits, and division is
-# quadratic on CPython 3.11.  Timed in process on a 2-vCPU Xeon over 76 spin
-# inputs (m = 2..80000, r = 1..20, degrees up to 10^20000), bits^2 tracked
-# the time best: the largest work whose inputs all take under 1 s is
-# 4.3*10^11 on bits^2, 3.2*10^10 on bits^1.8 and 2.7*10^9 on bits^1.6, and
-# that refuses 7, 11 and 14 inputs that take under 1 s.  Below the limit,
-# m = 80000 at degree 2m+4 (6 binomials of 241669 bits, 3.5*10^11) takes
-# 0.78 s, 1.1 s cold; above it, m = 2000 with nineteen degrees 10^6 and one
-# 10^6+1 (880 binomials of 27977 bits, 6.9*10^11) took 0.77 s.  On non-spin
-# inputs the estimate adds the bits of their denominator 2^n n!, n = m + r,
-# which overcounts their time 2 to 5 times.  Each binomial also counts 400^2,
-# for its call and the arithmetic around it: with 2001 degrees 2 at m = 80000
-# (vanishing binomials) each took as long as 1.2 to 1.8*10^5 bits^2, on two hosts.
-MAX_KOSZUL_WORK = 4 * 10**11
+# The cost model: each route's time in seconds in process, estimated from its
+# inputs before it runs; fitted on a 2-vCPU Xeon, CPython 3.11.7.
+# - The Koszul sum: r+2 binomials per signed subset sum, each priced as the
+#   largest, C(x, k), k = min(n, x-n) (_number_bits), at _BINOMIAL_S plus
+#   _BINOMIAL_BIT_S * bits * k.  math.comb's time per bit*k measured 14 to
+#   47 ps from 5*10^4 bits on, where per bit^2 it spread from 0.3 to 20 ps;
+#   the low end serves, as most binomials of a sum are smaller than its largest.
+# - Power sums: (m/2)^2 steps, each _POWER_STEP_S plus _POWER_STEP_BIT_S * m
+#   * the bits of the largest degree, as their rationals grow with both.
+# - The polynomial: the same steps on each of its keys (_partition_count), at
+#   _KEY_STEP_S + _KEY_STEP_ORDER_S * m, and _TERM_S per expanded term.
+# Over even m = 2..120 and r = 4..12 distinct powers of two, spin and
+# non-spin, the cheaper estimate's route took 3.8% longer in all than the
+# faster route, where 3(m+2) sums, the earlier rule, took 28.5% longer.
+_BINOMIAL_S, _BINOMIAL_BIT_S = 0.75e-6, 20e-12
+_POWER_STEP_S, _POWER_STEP_BIT_S = 20e-6, 7e-9
+_KEY_STEP_S, _KEY_STEP_ORDER_S, _TERM_S = 1.5e-6, 28e-9, 4e-6
 
-# Largest even m the power-sum route takes: it makes about m^2/4 rational
-# products, of numbers that grow with m.  At the limit a cold `compute
-# --complex-dim M --degrees 2 2 4 8 ... 16384` (2^15 signed subset sums)
-# takes about 1 s on a 2-vCPU Xeon; m = 400 takes 2.3 s.
-MAX_POWER_SUM_DIM = 300
+# Largest estimate of the cheaper route, for the numbers and the polynomial;
+# past it the input is refused before any binomial or power sum is computed.
+# Admitted: `compute` at MAX_COMPLEX_DIM with degree m+4 (1.54 s estimated,
+# 0.5 s in process: six binomials priced as the one that takes 0.5 s) and
+# verify's (130, 1) polynomial (1.43 s, 1.0 to 1.5 s).  Refused: the (30, 8)
+# polynomial (2.28 s, 1.4 to 2.0 s) and m = 300 with degrees 2, 2, 4, ...,
+# 2^13, 10^12 (2.34 s, 1.2 to 1.6 s).
+MAX_ESTIMATED_SECONDS = 1.8
 
 
 class InvalidInputError(ValueError):
@@ -191,7 +185,7 @@ def curvature_class(ci: CompleteIntersection) -> CurvatureClass:
     return CurvatureClass.GENERAL_TYPE
 
 
-def _koszul_coefficients(degrees: Sequence[int], limit: int) -> dict[int, int] | None:
+def _koszul_coefficients(degrees: Sequence[int], limit: float) -> dict[int, int] | None:
     """{s: c_s} with prod_j (1 - z^{a_j}) = sum_s c_s z^s, zeros dropped, or
     None as soon as more than ``limit`` sums are live.
 
@@ -332,11 +326,11 @@ def _power_sum_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
     return 2 * prod(degrees) * charnum.get((), zero), prod(degrees) * a_hat.get((), zero)
 
 
-def _number_bits(ci: CompleteIntersection) -> float:
-    """Estimated bits of the largest integer the Koszul sum forms, from
-    math.lgamma, before any is computed: the largest binomial C(x, n),
-    n = m + r, with |x| at most about (a_1 + ... + a_r + n)/2 + max_j a_j,
-    times 2^n n! on non-spin inputs."""
+def _number_bits(ci: CompleteIntersection) -> tuple[float, int]:
+    """(estimated bits, k) of the largest integer the Koszul sum forms, from
+    math.lgamma, before any is computed: the largest binomial C(x, n) = C(x, k),
+    n = m + r, k = min(n, x - n), with |x| at most about
+    (a_1 + ... + a_r + n)/2 + max_j a_j, times 2^n n! on non-spin inputs."""
     n = ci.m + ci.codimension
     x = (sum(ci.degrees) + n) // 2 + max(ci.degrees)
     k = max(0, min(n, x - n))
@@ -346,50 +340,61 @@ def _number_bits(ci: CompleteIntersection) -> float:
         nats = k * log(x) - lgamma(k + 1)
     if not is_spin(ci):
         nats += n * log(2) + lgamma(n + 1)
-    return nats / log(2)
+    return nats / log(2), k
 
 
-def _require_koszul_work(ci: CompleteIntersection, sums: int) -> None:
-    """Refuses the Koszul sum over ``sums`` signed subset sums past MAX_KOSZUL_WORK."""
-    binomials, bits = sums * (ci.codimension + 2), _number_bits(ci)
-    work = binomials * (bits**2 + 400**2)
-    if work > MAX_KOSZUL_WORK:
-        raise InvalidInputError(
-            f"complex dimension {ci.m} with these degrees needs at least {binomials} "
-            f"binomials of about {bits:.0f} bits in the Koszul sum, {work:.2g} at "
-            f"bits^2 + 400^2 each, past MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}")
+def _koszul_seconds_per_sum(ci: CompleteIntersection) -> float:
+    """Estimated time of the Koszul sum per signed subset sum: r+2 binomials,
+    each priced as the largest."""
+    bits, k = _number_bits(ci)
+    return (ci.codimension + 2) * (_BINOMIAL_S + _BINOMIAL_BIT_S * bits * k)
 
 
-@lru_cache(maxsize=1)
-def _characteristic_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
-    """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>), by the Koszul sum
-    while it carries at most KOSZUL_TERMS_PER_ORDER * (m+2) signed subset
-    sums, else by power sums.  Both are zero for odd m, where every series
-    in the pairing is even in h.  Holds the last input: a bound report
-    needs both.
+def _power_sum_seconds(ci: CompleteIntersection) -> float:
+    """Estimated time of the power-sum recurrence: (m/2)^2 steps."""
+    bits = max(ci.degrees).bit_length()
+    return (ci.m / 2) ** 2 * (_POWER_STEP_S + _POWER_STEP_BIT_S * ci.m * bits)
 
-    Raises InvalidInputError on the power-sum route past MAX_POWER_SUM_DIM,
-    and on either route past MAX_KOSZUL_WORK, before any binomial or power
-    sum is computed.  Past the term limit the work counts the limit's worth
-    of sums: the power sums' numbers grow with the degrees as the
-    binomials' do.
+
+def _require_budget(seconds: float, work: str) -> None:
+    """Refuses ``work`` estimated to take ``seconds`` or more, past MAX_ESTIMATED_SECONDS."""
+    if seconds > MAX_ESTIMATED_SECONDS:
+        raise InvalidInputError(f"{work}: an estimated {seconds:.3g} s or more, "
+                                f"past MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}")
+
+
+def _characteristic_numbers(ci: CompleteIntersection) -> tuple[int | Fraction, Fraction]:
+    """(char_number(ci), a_hat_genus(ci)) from one computation, by the Koszul
+    sum or by power sums, whichever the cost model prices lower.  Both are
+    zero for odd m, where every series in the pairing is even in h, and
+    integers on spin inputs, else ArithmeticError signals a bug.
+
+    Raises InvalidInputError when the cheaper estimate is past
+    MAX_ESTIMATED_SECONDS, before any binomial or power sum is computed.
     """
     if ci.m % 2:
-        return Fraction(0), Fraction(0)
-    limit = KOSZUL_TERMS_PER_ORDER * (ci.m + 2)
+        return 0, Fraction(0)
+    power_sums, per_sum = _power_sum_seconds(ci), _koszul_seconds_per_sum(ci)
+    work = f"complex dimension {ci.m} with these degrees"
     # prod_j (1 - z^{a_j}) has a root of order r at z = 1, so by Descartes' rule
-    # of signs at least r+1 terms, whose work is checked before any is formed
-    _require_koszul_work(ci, min(ci.codimension + 1, limit))
+    # of signs at least r+1 terms, whose time is checked before any is formed
+    _require_budget(min(per_sum * (ci.codimension + 1), power_sums),
+                    f"{work}, by the cheaper route")
+    # past this many sums the Koszul sum is the dearer route, or past the budget
+    limit = min(power_sums, MAX_ESTIMATED_SECONDS) / per_sum
     coeffs = _koszul_coefficients(ci.degrees, limit)
-    if coeffs is None and ci.m > MAX_POWER_SUM_DIM:
-        raise InvalidInputError(
-            f"the degrees have over {limit} signed subset sums, which takes the "
-            f"power-sum route, and complex dimension {ci.m} is past "
-            f"MAX_POWER_SUM_DIM = {MAX_POWER_SUM_DIM}")
-    _require_koszul_work(ci, limit if coeffs is None else len(coeffs))
     if coeffs is None:
-        return _power_sum_numbers(ci)
-    return _riemann_roch_numbers(ci, coeffs)
+        _require_budget(power_sums, f"{work}, by power sums, the Koszul sum passing the "
+                                    f"budget at {int(limit) + 1} terms")
+        charnum, a_hat = _power_sum_numbers(ci)
+    else:
+        charnum, a_hat = _riemann_roch_numbers(ci, coeffs)
+    # on spin M both are indices, hence integers
+    if is_spin(ci) and (charnum.denominator, a_hat.denominator) != (1, 1):
+        raise ArithmeticError(
+            f"characteristic numbers of spin {ci} came out non-integral ({charnum}, "
+            f"{a_hat}); this signals a bug in the Riemann-Roch sum or the power-sum route")
+    return (int(charnum) if charnum.denominator == 1 else charnum), a_hat
 
 
 def char_number(ci: CompleteIntersection) -> int | Fraction:
@@ -401,14 +406,7 @@ def char_number(ci: CompleteIntersection) -> int | Fraction:
     hypersurface gives 5/2 -- which are returned as exact fractions.
     Vanishes for odd m.
     """
-    value = _characteristic_numbers(ci)[0]
-    if value.denominator == 1:
-        return int(value)
-    if is_spin(ci):
-        raise ArithmeticError(
-            f"characteristic number of spin {ci} came out non-integral ({value}); "
-            "this signals a bug in the Riemann-Roch sum or the power-sum route")
-    return value
+    return _characteristic_numbers(ci)[0]
 
 
 def _times_power_sum(power: int, combination: dict, r: int) -> dict:
@@ -451,6 +449,28 @@ def _orderings(parts: list[int]):
         yield from map(itemgetter(*index), arrangements)
 
 
+def _polynomial_seconds(m: int, r: int) -> float:
+    """Estimated time of char_number_polynomial(m, r).  Past the budget on
+    its m/2 + 1 one-part keys alone, it stops there, before counting the
+    keys takes long."""
+    half = m // 2
+    steps = half**2 * (_KEY_STEP_S + _KEY_STEP_ORDER_S * m)
+    if steps * (half + 1) > MAX_ESTIMATED_SECONDS:
+        return steps * (half + 1)
+    return steps * _partition_count(half, r) + _TERM_S * (0 if m % 2 else comb(half + r, half))
+
+
+def _partition_count(total: int, parts: int) -> int:
+    """Partitions of 0..total into at most ``parts`` parts, counted by their
+    conjugates, whose parts are at most ``parts``: the keys of the
+    polynomial's coefficients at order 2*total."""
+    counts = [1] + [0] * total
+    for size in range(1, min(parts, total) + 1):
+        for j in range(size, total + 1):
+            counts[j] += counts[j - size]
+    return sum(counts)
+
+
 def char_number_polynomial(m: int, r: int) -> MultiPoly:
     """The characteristic number as an exact polynomial in the degrees a_1..a_r.
 
@@ -460,9 +480,13 @@ def char_number_polynomial(m: int, r: int) -> MultiPoly:
     each m_lambda over its distinct exponent vectors, which share one
     coefficient.  For even m this is
     symmetric of degree m+1 in each a_i; for odd m it is identically zero.
+
+    Raises InvalidInputError when the cost model's estimate is past
+    MAX_ESTIMATED_SECONDS, before the recurrence runs.
     """
     _require_int(m, "dimension m")
     _require_int(r, "codimension r")
+    _require_budget(_polynomial_seconds(m, r), f"char_number_polynomial({m}, {r})")
 
     def times_y(k: int, combination: dict) -> dict:
         product = _times_power_sum(2 * k, combination, r)
@@ -493,16 +517,5 @@ def rs_index(ci: CompleteIntersection, chirality: Chirality) -> int:
         raise InvalidInputError("chirality must be 'plus' or 'minus'")
     if not is_spin(ci):
         raise InvalidInputError(f"{ci} admits no spin structure; the index is undefined")
-    value = rs_index_from(ci, char_number(ci), a_hat_genus(ci))
+    value = int(sum(_characteristic_numbers(ci)))
     return value if chirality == "plus" else -value
-
-
-def rs_index_from(ci: CompleteIntersection, charnum: int, a_hat: Fraction) -> int:
-    """Plus-chirality index of spin ``ci`` from its characteristic number and
-    A-hat genus already in hand: their sum, which must be an integer."""
-    total = charnum + a_hat
-    if total.denominator != 1:
-        raise ArithmeticError(
-            f"index of spin {ci} came out non-integral ({total}); "
-            "this signals a bug in the Riemann-Roch sum or the power-sum route")
-    return int(total)

@@ -24,7 +24,7 @@ from .charclass import CompleteIntersection, InvalidInputError, _require_int
 from .charclass import char_number  # noqa: F401  (bench/test_bench.py traces it)
 from .output import FORMATS, render
 from .rsbounds import (RSBoundReport, TheoremInapplicableError,
-                       cy_hypersurface_bound_closed_form, find_degree_exceeding,
+                       cy_hypersurface_bound_closed_form, degree_search_report,
                        max_parallel_spinors, product_bound, rs_lower_bound,
                        torus_parallel_spinors, torus_rs_dimension)
 
@@ -209,12 +209,11 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_search(args) -> tuple[dict, int]:
-    degree = find_degree_exceeding(args.complex_dim, args.threshold)
-    report = rs_lower_bound(CompleteIntersection(args.complex_dim, (degree,)))
+    report = degree_search_report(args.complex_dim, args.threshold)
     return {
         "m": args.complex_dim,
         "threshold": _decimal(args.threshold),
-        "degree": degree,
+        "degree": report.ci.degrees[0],
         "charnum": _decimal(report.charnum),
         "report": _report_dict(report, include_index=False),
     }, 0

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import comb
 
 from .charclass import (MAX_COMPLEX_DIM, CompleteIntersection, CurvatureClass,
-                        InvalidInputError, _folded_koszul_sum, _require_int, a_hat_genus,
-                        char_number, curvature_class, is_spin, rs_index_from)
+                        InvalidInputError, _characteristic_numbers, _folded_koszul_sum,
+                        _require_int, curvature_class, is_spin)
 
 # Decimal digits a threshold of find_degree_exceeding may have; 10^1000 is
 # the largest power of ten accepted.  It bounds the search's work and keeps
@@ -121,8 +121,12 @@ def rs_lower_bound(ci: CompleteIntersection) -> RSBoundReport:
             "fano: Kaehler-Einstein existence not guaranteed, theorem inapplicable")
     if ci.real_dimension < 4:
         raise TheoremInapplicableError("theorem requires real dimension at least 4")
-    charnum = char_number(ci)
-    a_hat = a_hat_genus(ci)
+    return _report(ci, *_characteristic_numbers(ci))
+
+
+def _report(ci: CompleteIntersection, charnum: int, a_hat: Fraction) -> RSBoundReport:
+    """The report of spin ``ci`` with c_1 <= 0 from its numbers in hand."""
+    curvature = curvature_class(ci)
     deduction = (max_parallel_spinors(ci.real_dimension)
                  if curvature is CurvatureClass.CALABI_YAU else 0)
     return RSBoundReport(
@@ -132,7 +136,7 @@ def rs_lower_bound(ci: CompleteIntersection) -> RSBoundReport:
         curvature=curvature,
         charnum=charnum,
         a_hat_genus=a_hat,
-        rs_index_plus=rs_index_from(ci, charnum, a_hat),
+        rs_index_plus=int(charnum + a_hat),
         parallel_spinor_deduction=deduction,
         bound_plus=max(charnum - deduction, 0),
         bound_minus=max(-charnum - deduction, 0),
@@ -188,29 +192,42 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
     m must be even and at most MAX_COMPLEX_DIM, and thresholds positive with
     at most THRESHOLD_DIGITS decimal digits; others raise InvalidInputError.
     """
+    return _hypersurface_search(m, threshold)[0]
+
+
+def degree_search_report(m: int, threshold: int) -> RSBoundReport:
+    """rs_lower_bound of the hypersurface of degree
+    find_degree_exceeding(m, threshold), from the numbers the search computed
+    at that degree; the same inputs are refused."""
+    degree, (charnum, a_hat, _) = _hypersurface_search(m, threshold)
+    # an even degree past m+2 is spin, with c_1 < 0: a spin fold's numbers are integers
+    return _report(CompleteIntersection(m, (degree,)), charnum, Fraction(a_hat))
+
+
+def _hypersurface_search(m: int, threshold: int) -> tuple[int, tuple[int, int, int]]:
+    """(a, _folded_koszul_sum at a) for find_degree_exceeding's answer a, as
+    |P(a)| increases on the even a > m+2: gallop with doubling steps, then
+    bisect."""
     _require_int(m, "m", 2, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM", even=True)
     _require_int(threshold, "threshold")
     if threshold >= _THRESHOLD_LIMIT:
         raise InvalidInputError(
             f"threshold has more than THRESHOLD_DIGITS = {THRESHOLD_DIGITS} decimal digits")
-    return _first_beyond(lambda a: _folded_koszul_sum(m, (a,), {0: 1, a: -1})[0], m + 2, threshold)
 
-
-def _first_beyond(value, lo: int, threshold: int) -> int:
-    """Smallest even a > lo with |value(a)| > threshold, given that |value|
-    increases on the even a > lo: gallop with doubling steps, then bisect."""
-    step = 2
-    while abs(value(lo + step)) <= threshold:
+    def fold(a: int) -> tuple[int, int, int]:
+        return _folded_koszul_sum(m, (a,), {0: 1, a: -1})
+    lo, step = m + 2, 2
+    while abs((found := fold(lo + step))[0]) <= threshold:
         lo += step
         step *= 2
     hi = lo + step
     while hi - lo > 2:
         mid = lo + (hi - lo) // 4 * 2
-        if abs(value(mid)) > threshold:
-            hi = mid
+        if abs((numbers := fold(mid))[0]) > threshold:
+            hi, found = mid, numbers
         else:
             lo = mid
-    return hi
+    return hi, found
 
 
 def exceeds_torus(m: int) -> bool:

@@ -9,19 +9,18 @@ from fractions import Fraction
 from math import factorial
 
 from .charclass import (CompleteIntersection, _koszul_coefficients,
-                        _require_int, _riemann_roch_numbers, char_number,
-                        char_number_polynomial)
+                        _require_int, _riemann_roch_numbers, char_number_polynomial)
 from .rings import MultiPoly
 from .rsbounds import (cy_hypersurface_bound_closed_form, exceeds_torus,
                        hypersurface_char_number_closed_form, rs_lower_bound)
 
-# Input budgets: at each limit the suite takes about 1 s or less in a cold
-# run on a 2-vCPU Xeon (closed-form at MAX_M 0.46-0.5 s, torus-inequality
-# 0.23 s; hypersurface-poly at HYPERSURFACE_MAX_M 0.88-0.91 s, 0.76 s in
-# process; symmetric-poly at m = 20, r = 8 1.0-1.16 s).  symmetric-poly's
-# time grows with the C(m/2 + r, r) terms of the polynomial it checks, in
-# process at r = 8: m = 10 takes 0.023 s, m = 16 0.23 s, m = 20 0.86 s and
-# m = 22 1.5 s; at m = 20 the symmetry check takes 0.15 s of that.
+# Input budgets, with cold times (medians of 5) on a 2-vCPU Xeon, whose speed
+# swings by up to 2x: closed-form and torus-inequality at MAX_M 0.72 s and
+# 0.32 s; hypersurface-poly at HYPERSURFACE_MAX_M 1.4-1.6 s (1.05-1.2 s in
+# process); symmetric-poly at m = 20, r = 8 1.6-1.8 s.  symmetric-poly's time
+# grows with the C(m/2 + r, r) terms of the polynomial it checks, in process
+# at r = 8: m = 10 takes 0.035 s, m = 16 0.36-0.47 s, m = 20 1.2-1.8 s and
+# m = 22 2.9-3.2 s.
 MAX_M = 1600
 HYPERSURFACE_MAX_M = 130
 SYMMETRIC_MAX_M = 20
@@ -34,11 +33,11 @@ def closed_form(max_m: int) -> list[tuple[str, bool]]:
     _require_int(max_m, "max_m", 2, MAX_M, "MAX_M", even=True)
     checks = []
     for m in range(2, max_m + 1, 2):
-        ci = CompleteIntersection(m, (m + 2,))
+        report = rs_lower_bound(CompleteIntersection(m, (m + 2,)))
         checks.append((f"char-number matches closed form (m={m})",
-                       char_number(ci) == hypersurface_char_number_closed_form(m)))
+                       report.charnum == hypersurface_char_number_closed_form(m)))
         checks.append((f"bound matches closed form (m={m})",
-                       rs_lower_bound(ci).bound_total == cy_hypersurface_bound_closed_form(m)))
+                       report.bound_total == cy_hypersurface_bound_closed_form(m)))
     return checks
 
 

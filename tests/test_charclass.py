@@ -15,12 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rscount import charclass
-from rscount.charclass import (KOSZUL_TERMS_PER_ORDER, MAX_KOSZUL_WORK,
-                               CompleteIntersection, CurvatureClass,
-                               InvalidInputError, _bernoulli_ratios,
-                               _koszul_coefficients, _number_bits,
-                               _orderings, _power_sum_numbers,
-                               _riemann_roch_numbers, _tree_product,
+from rscount.charclass import (MAX_ESTIMATED_SECONDS, CompleteIntersection,
+                               CurvatureClass, InvalidInputError,
+                               _bernoulli_ratios, _koszul_coefficients,
+                               _koszul_seconds_per_sum, _number_bits,
+                               _orderings, _partition_count,
+                               _polynomial_seconds, _power_sum_numbers,
+                               _power_sum_seconds, _riemann_roch_numbers,
+                               _tree_product,
                                a_hat_genus, char_number,
                                char_number_polynomial, curvature_class,
                                first_chern_coefficient, is_spin, rs_index)
@@ -191,9 +193,11 @@ class TestRiemannRochRoute:
         tuple(2**k for k in range(1, 9)) + (2**9 + 1,),     # spin
     ])
     def test_past_the_term_limit_the_series_route_answers(self, degrees):
-        # distinct powers of two have 2^9 distinct signed subset sums
+        # distinct powers of two have 2^9 distinct signed subset sums, past the
+        # count at which the Koszul sum's estimate passes the power sums'
         ci = CompleteIntersection(2, degrees)
-        assert _koszul_coefficients(degrees, KOSZUL_TERMS_PER_ORDER * 4) is None
+        limit = _power_sum_seconds(ci) / _koszul_seconds_per_sum(ci)
+        assert _koszul_coefficients(degrees, limit) is None
         every_sum = _koszul_coefficients(degrees, 2**9)
         assert (char_number(ci), a_hat_genus(ci)) == _riemann_roch_numbers(ci, every_sum)
         assert char_number(ci) == 2 * prod(degrees) * _integrand(2, degrees)[2]
@@ -213,9 +217,12 @@ class TestRiemannRochRoute:
 
 
 class TestBudgets:
-    """Odd m is zero by parity before either route runs; even m is refused
-    past MAX_KOSZUL_WORK, and on the power-sum route past MAX_POWER_SUM_DIM
-    (see tests/test_cli.py), before any binomial or power sum is computed."""
+    """Odd m is zero by parity before either route runs; even m, and the
+    polynomial, are refused when the cheaper route's estimate is past
+    MAX_ESTIMATED_SECONDS (see also tests/test_cli.py), before any binomial or
+    power sum is computed."""
+
+    BUDGET = f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}"
 
     def test_odd_m_runs_neither_route(self, monkeypatch):
         def fail(*args):
@@ -232,7 +239,7 @@ class TestBudgets:
         (21, tuple(2**k for k in range(1, 10))),        # non-spin, 512 sums
     ])
     def test_odd_m_evaluates_no_binomial(self, m, degrees, monkeypatch):
-        # the last two are past the term limit of 3*(21+2) sums
+        # the last two go by power sums at m = 20
         calls = []
 
         def counted(function):
@@ -242,7 +249,6 @@ class TestBudgets:
             return wrapper
         for name in ("comb", "_tree_product", "_power_sum_pairings"):
             monkeypatch.setattr(charclass, name, counted(getattr(charclass, name)))
-        charclass._characteristic_numbers.cache_clear()
         ci = CompleteIntersection(m, degrees)
         assert (char_number(ci), a_hat_genus(ci)) == (0, 0)
         if is_spin(ci):
@@ -264,7 +270,7 @@ class TestBudgets:
             for shift in (0, 1, -1, *degrees, *(-a for a in degrees)):
                 x = t0 + shift - s + n
                 largest = max(largest, comb(x, n) if x >= 0 else comb(n - x - 1, n))
-        assert largest.bit_length() - 1.01 < _number_bits(ci) < largest.bit_length() + 0.01
+        assert largest.bit_length() - 1.01 < _number_bits(ci)[0] < largest.bit_length() + 0.01
 
     @pytest.mark.parametrize("m, degrees", [
         (2, (5,)), (40, (43,)), (6, (2, 4, 7)), (8, (3, 5, 7, 11)), (10, (2,) * 18 + (3,))])
@@ -278,15 +284,17 @@ class TestBudgets:
             for shift in (0, 1, -1, *degrees, *(-a for a in degrees)):
                 twice_x = twice_t0 + 2 * (shift - s + n)
                 largest = max(largest, abs(prod(range(twice_x, twice_x - 2 * n, -2))))
-        assert largest.bit_length() - 2 < _number_bits(ci) < largest.bit_length() + 2
+        assert largest.bit_length() - 2 < _number_bits(ci)[0] < largest.bit_length() + 2
 
     @pytest.mark.parametrize("m, degrees", [
-        # past the Koszul term limit, and past the budget already at r+1 sums
+        # 2^15 signed subset sums, and power sums past the budget: 16 s
+        # estimated, 15 s cold with 10^100
         (300, (2, *(2**k for k in range(1, 14)), 10**100)),
-        # non-spin: 2^n n! makes each term about 1.4 million bits, 3.4 s if computed
+        # non-spin: 2^n n! makes each term about 1.4 million bits, 3.4 s if
+        # computed; past the budget already at r+1 = 2 sums
         (80000, (80003,)),
-        # within the budget at r+1 = 16 sums of about 10600 bits, past it at
-        # the term limit's 906, whose worth the work counts
+        # the Koszul sum passes the budget at 1572 of its 2^15 sums, and power
+        # sums take an estimated 2.3 s, 1.2 to 1.6 s in process
         (300, (2, *(2**k for k in range(1, 14)), 10**12))],
         ids=["power sums", "non-spin", "term limit"])
     def test_work_past_the_budget_is_refused_before_either_route(self, m, degrees, monkeypatch):
@@ -294,24 +302,82 @@ class TestBudgets:
             raise AssertionError("a route ran past the work budget")
         for name in ("_riemann_roch_numbers", "_power_sum_numbers"):
             monkeypatch.setattr(charclass, name, fail)
-        with pytest.raises(InvalidInputError, match=f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}"):
+        with pytest.raises(InvalidInputError, match=self.BUDGET):
             char_number(CompleteIntersection(m, degrees))
 
     def test_vanishing_binomials_count_toward_the_work(self, monkeypatch):
         # Fano, so every binomial is zero: 2002 signed subset sums, 2 s if
-        # computed.  r+1 = 2002 sums are past the budget at 400^2 each, so
-        # none is formed.
+        # computed.  r+1 = 2002 sums of 2003 binomials are past the budget at
+        # the cost of a call each, so none is formed.
         def fail(*args):
             raise AssertionError("the Koszul sum began past the work budget")
         for name in ("_koszul_coefficients", "_riemann_roch_numbers", "_power_sum_numbers"):
             monkeypatch.setattr(charclass, name, fail)
-        with pytest.raises(InvalidInputError, match=f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}"):
+        with pytest.raises(InvalidInputError, match=self.BUDGET):
             char_number(CompleteIntersection(80000, (2,) * 2001))
 
     def test_numbers_past_the_bit_budget_are_refused(self):
         ci = CompleteIntersection(20000, (10**20,))
-        with pytest.raises(InvalidInputError, match=f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}"):
+        with pytest.raises(InvalidInputError, match=self.BUDGET):
             char_number(ci)
+
+    def test_many_binomials_with_small_k_are_admitted(self):
+        # 40 signed subset sums of 22 binomials of about 28000 bits, but
+        # k = n = 2020: 0.05 to 0.08 s in process, which bits^2 priced past the budget
+        ci = CompleteIntersection(2000, (10**6,) * 19 + (10**6 + 1,))
+        every_sum = _koszul_coefficients(ci.degrees, 2**20)
+        assert char_number(ci) == _riemann_roch_numbers(ci, every_sum)[0]
+
+    @pytest.mark.parametrize("m, r", [
+        (21, 2), (19, 3), (15, 4), (11, 5), (9, 6),     # the benchmark's largest
+        (130, 1), (20, 8),                              # verify's caps
+        (24, 8), (40, 4), (100, 1)])
+    def test_polynomials_within_the_budget_run(self, m, r, monkeypatch):
+        def reached(*args):
+            raise LookupError("the recurrence ran")
+        monkeypatch.setattr(charclass, "_power_sum_pairings", reached)
+        with pytest.raises(LookupError):
+            char_number_polynomial(m, r)
+
+    @pytest.mark.parametrize("m, r", [
+        (200, 1),       # 7.5 s in process
+        (30, 8),        # 2.0 s, 490314 terms
+        (10**9, 1), (2, 10**9)])
+    def test_polynomials_past_the_budget_are_refused(self, m, r, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the recurrence ran past the budget")
+        monkeypatch.setattr(charclass, "_power_sum_pairings", fail)
+        with pytest.raises(InvalidInputError, match=self.BUDGET):
+            char_number_polynomial(m, r)
+
+    def test_partition_count_counts_the_keys(self):
+        # one key of the recurrence per symmetric orbit of the polynomial's terms
+        for m in range(2, 21, 2):
+            for r in range(1, 6):
+                orbits = {tuple(sorted(e)) for e in char_number_polynomial(m, r).terms}
+                assert _partition_count(m // 2, r) == len(orbits), (m, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200).map(lambda h: 2 * h),
+           st.lists(st.integers(1, 10**6), min_size=1, max_size=12),
+           st.integers(0, 11), st.integers(1, 100), st.integers(0, 3))
+    def test_estimates_never_fall_as_the_input_grows(self, m, degrees, j, growth, more):
+        # Growth by an even amount keeps the parity of c_1, hence spin.  The
+        # Koszul sum's estimate is checked in the degrees only: as m grows its
+        # binomials near c_1 = 0 shrink, down to zero on Fano inputs, and so
+        # does their time.
+        ci = CompleteIntersection(m, tuple(degrees))
+        grown = list(degrees)
+        grown[j % len(grown)] += 2 * growth
+        wider = CompleteIntersection(m, tuple(grown))
+        higher = CompleteIntersection(m + 2 * growth, tuple(degrees))
+        assert _koszul_seconds_per_sum(wider) >= _koszul_seconds_per_sum(ci)
+        assert _power_sum_seconds(wider) >= _power_sum_seconds(ci)
+        assert _power_sum_seconds(higher) >= _power_sum_seconds(ci)
+        r = len(degrees)
+        # the polynomial's estimate stops early past the budget, but only there
+        larger = _polynomial_seconds(m + 2 * growth, r + more)
+        assert larger >= _polynomial_seconds(m, r) or larger > MAX_ESTIMATED_SECONDS
 
 
 def series_bernoulli_ratios(order):

@@ -12,15 +12,14 @@ import shutil
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 from conftest import golden, run_cli
 
 from rscount import charclass, cli, rsbounds, series, verify
-from rscount.charclass import (MAX_COMPLEX_DIM, MAX_KOSZUL_WORK,
-                               MAX_POWER_SUM_DIM, CompleteIntersection,
-                               char_number)
+from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS,
+                               CompleteIntersection, char_number)
 from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               hypersurface_char_number_closed_form)
 from rscount.series import PowerSeries
@@ -84,8 +83,7 @@ class TestComputeCommand:
             calls["koszul"] += 1
             return koszul(*args)
         monkeypatch.setattr(charclass, "_koszul_coefficients", counted_koszul)
-        charclass._characteristic_numbers.cache_clear()
-        for name in ("char_number", "a_hat_genus"):
+        for name in ("char_number", "a_hat_genus", "_characteristic_numbers"):
             original = getattr(charclass, name)
 
             def counted(*args, _name=name, _original=original):
@@ -98,7 +96,7 @@ class TestComputeCommand:
         assert "rsIndexPlus" in capsys.readouterr().out
         # one Koszul sum serves both numbers; no "invert" entry, since the
         # Riemann-Roch route builds no power series
-        assert calls == {"char_number": 1, "a_hat_genus": 1, "koszul": 1}
+        assert calls == {"_characteristic_numbers": 1, "koszul": 1}
 
     def test_parser_is_freed_before_the_command_runs(self, capsys):
         gc.collect()
@@ -298,6 +296,18 @@ class TestSearchCommand:
         proc = run_cli("search", "--complex-dim", "40", "--threshold", str(10**1000))
         self.assert_minimal_degree(proc, 40, 10**1000)
 
+    def test_the_report_reuses_the_search_numbers(self, monkeypatch, capsys):
+        # the answer a's largest binomial is C((3a + n - 1)/2, n), n = m + 1
+        calls = Counter()
+
+        def counted(x, n):
+            calls[x, n] += 1
+            return comb(x, n)
+        monkeypatch.setattr(charclass, "comb", counted)
+        assert cli.main(["search", "--complex-dim", "40", "--threshold", str(10**30)]) == 0
+        degree = json.loads(capsys.readouterr().out)["result"]["degree"]
+        assert calls[(3 * degree + 40) // 2, 41] == 1
+
     def test_threshold_digit_budget(self):
         largest = 10**THRESHOLD_DIGITS - 1
         proc = run_cli("search", "--complex-dim", "2", "--threshold", str(largest))
@@ -385,19 +395,19 @@ class TestInputBudgets:
         assert out == ""
         assert f"MAX_COMPLEX_DIM = {largest}" in err
 
-    # 2, 4, ..., 2^14: 2^14 signed subset sums, past the Koszul term limit
-    # at every m below, and spin with one more 2 at even m
+    # 2, 4, ..., 2^14: 2^14 signed subset sums, which go by power sums at
+    # every m below, and spin with one more 2 at even m
     POWERS = [str(2**k) for k in range(1, 15)]
 
     def test_power_sum_dimension(self, capsys):
-        largest = MAX_POWER_SUM_DIM
+        # estimated 1.16 s and 1.18 s, each about 1 s cold; 800 is 16.6 s
         degrees = ["--degrees", "2", *self.POWERS]
-        assert cli.main(["compute", "--complex-dim", str(largest), *degrees, "--quiet"]) == 0
-        for past in (largest + 2, 800):
-            assert cli.main(["compute", "--complex-dim", str(past), *degrees]) == 1
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert f"MAX_POWER_SUM_DIM = {largest}" in err
+        for admitted in (300, 302):
+            assert cli.main(["compute", "--complex-dim", str(admitted), *degrees, "--quiet"]) == 0
+        assert cli.main(["compute", "--complex-dim", "800", *degrees]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}" in err
 
     def test_odd_dimension_is_zero_past_the_power_sum_budget(self, capsys):
         assert cli.main(["compute", "--complex-dim", "801", "--degrees", *self.POWERS]) == 0
@@ -411,21 +421,21 @@ class TestInputBudgets:
         (2000, [10**6 + 1] + [10**6 + 2**k for k in range(1, 12)]),
     ], ids=["40000", "2000"])
     def test_koszul_work(self, m, degrees, monkeypatch, capsys):
-        # under the term limit, so only the work budget stops the sum
+        # power sums take far longer, so only the Koszul sum's estimate could admit them
         def fail(*args):
             raise AssertionError("the Koszul sum ran past its work budget")
         monkeypatch.setattr(charclass, "_riemann_roch_numbers", fail)
         assert cli.main(["compute", "--complex-dim", str(m), "--degrees", *map(str, degrees)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}" in err
+        assert f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}" in err
 
     def test_number_size(self, capsys):
         argv = ["compute", "--complex-dim", "20000", "--degrees", str(10**20)]
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"MAX_KOSZUL_WORK = {MAX_KOSZUL_WORK}" in err
+        assert f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}" in err
 
 
 class TestHelpText:

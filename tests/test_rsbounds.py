@@ -14,7 +14,8 @@ from rscount.charclass import (MAX_COMPLEX_DIM, CompleteIntersection,
                                char_number_polynomial)
 from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               TheoremInapplicableError,
-                              cy_hypersurface_bound_closed_form, exceeds_torus,
+                              cy_hypersurface_bound_closed_form,
+                              degree_search_report, exceeds_torus,
                               find_degree_exceeding,
                               hypersurface_char_number_closed_form,
                               max_parallel_spinors, product_bound,
@@ -316,14 +317,16 @@ class TestDegreeSearch:
         (2, 10**30), (2, 10**1000), (40, 10**1000), (1000, 10**1000)])
     def test_char_number_runs_only_at_scanned_degrees(self, m, threshold,
                                                        monkeypatch):
-        # the search scans by the closed form, so char_number runs at no degree
+        # the search scans by the closed form, so char_number's computation
+        # runs at no degree, nor for the report at the answer
         evaluated = []
 
         def counted(ci):
             evaluated.append(ci.degrees[0])
-            return char_number(ci)
-        monkeypatch.setattr(rsbounds, "char_number", counted)
+            return charclass._characteristic_numbers(ci)
+        monkeypatch.setattr(rsbounds, "_characteristic_numbers", counted)
         found = find_degree_exceeding(m, threshold)
+        assert degree_search_report(m, threshold).ci.degrees == (found,)
         assert evaluated == []
         assert abs(hypersurface_number(m, found)) > threshold
         assert abs(hypersurface_number(m, found - 2)) <= threshold
@@ -351,7 +354,14 @@ class TestDegreeSearch:
         assert abs(hypersurface_number(m, found)) > threshold
         assert abs(hypersurface_number(m, found - 2)) <= threshold
 
+    @pytest.mark.parametrize("m, threshold", [(2, 1), (2, 10**30), (40, 10**100), (200, 10**1000)])
+    def test_report_equals_rs_lower_bound_at_the_answer(self, m, threshold):
+        ci = CompleteIntersection(m, (find_degree_exceeding(m, threshold),))
+        assert degree_search_report(m, threshold) == rs_lower_bound(ci)
+
     def test_rejections(self):
+        with pytest.raises(InvalidInputError):
+            degree_search_report(2, 0)
         with pytest.raises(InvalidInputError):
             find_degree_exceeding(3, 10)
         with pytest.raises(InvalidInputError):
