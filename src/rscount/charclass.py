@@ -59,16 +59,14 @@ it has no caller here and stays as the tests' oracle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lgamma, log, prod
 from operator import itemgetter
-from typing import Callable, Literal, Sequence
 
 from .rings import MultiPoly
-
-Chirality = Literal["plus", "minus"]
 
 # Largest complex dimension a CompleteIntersection accepts.  At the limit a
 # cold `compute --complex-dim M --degrees M+4` takes about 0.5 s on a 2-vCPU
@@ -133,28 +131,32 @@ def _require_int(value, name: str, low: int = 1, high: int | None = None,
         raise InvalidInputError(f"{name} must be {kind} from {low} to {budget} = {high}")
 
 
-@dataclass(frozen=True)
-class CompleteIntersection:
+class CompleteIntersection(namedtuple("CompleteIntersection", "m degrees")):
     """Smooth complete intersection of hypersurfaces of the given degrees.
 
     ``m`` is the complex dimension, at most MAX_COMPLEX_DIM; with r degrees
     the variety sits in CP^{m+r}.  Degrees are stored sorted ascending:
     every characteristic quantity computed here is symmetric in them.
     Degree-1 entries are allowed (a hyperplane cut re-embeds the same
-    manifold in lower codimension).
+    manifold in lower codimension).  As a tuple it unpacks, indexes and
+    orders, and equals ``(m, degrees)``; ``_replace`` validates and sorts.
     """
 
-    m: int
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_int(self.m, "complex dimension", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
-        degrees = tuple(self.degrees)
+    def __new__(cls, m: int, degrees: Sequence[int]):
+        _require_int(m, "complex dimension", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
+        degrees = tuple(degrees)
         if not degrees:
             raise InvalidInputError("at least one degree is required")
         for a in degrees:
             _require_int(a, "each degree")
-        object.__setattr__(self, "degrees", tuple(sorted(degrees)))
+        return super().__new__(cls, m, tuple(sorted(degrees)))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def codimension(self) -> int:
@@ -507,8 +509,9 @@ def a_hat_genus(ci: CompleteIntersection) -> Fraction:
     return _characteristic_numbers(ci)[1]
 
 
-def rs_index(ci: CompleteIntersection, chirality: Chirality) -> int:
-    """Index of the chiral Rarita-Schwinger operator on M.
+def rs_index(ci: CompleteIntersection, chirality: str) -> int:
+    """Index of the chiral Rarita-Schwinger operator on M, for ``chirality``
+    "plus" or "minus".
 
     Equals +-(<A-hat(TM) ch(T^C M), [M]> + <A-hat(TM), [M]>) and needs a spin
     structure to be defined.

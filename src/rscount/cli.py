@@ -19,7 +19,7 @@ import gc
 import sys
 from fractions import Fraction
 
-from . import __version__, verify
+from . import __version__
 from .charclass import CompleteIntersection, InvalidInputError, _require_int
 from .charclass import char_number  # noqa: F401  (bench/test_bench.py traces it)
 from .output import FORMATS, render
@@ -191,6 +191,7 @@ def _cmd_table(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    from . import verify  # only this command needs it
     if args.suite == "hypersurface-poly":
         m = _required(args.m, "--m")
         degree, leading, checks = verify.hypersurface_poly(m)

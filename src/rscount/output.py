@@ -8,7 +8,6 @@ invocations produce byte-identical output.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 
@@ -74,6 +73,7 @@ def _header(records: list[dict]) -> list[str]:
 
 
 def _render_csv(result: dict) -> str:
+    import csv  # only this format needs it
     records = _records(result)
     header = _header(records)
     buffer = io.StringIO()

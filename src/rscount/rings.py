@@ -9,9 +9,9 @@ arithmetic is exact; all values are immutable.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import factorial, prod
-from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
 

@@ -17,7 +17,7 @@ integers.  Thresholds are limited to THRESHOLD_DIGITS decimal digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -42,28 +42,19 @@ class TheoremInapplicableError(ValueError):
     """The requested manifold is outside the scope of the bound."""
 
 
-@dataclass(frozen=True)
-class RSBoundReport:
+class RSBoundReport(namedtuple(
+        "RSBoundReport", "ci n spin curvature charnum a_hat_genus rs_index_plus "
+        "parallel_spinor_deduction bound_plus bound_minus bound_total")):
     """Lower bounds for Rarita-Schwinger fields, per chirality and total.
 
     ``charnum`` keeps the raw signed characteristic number; the bounds are
     clamped at zero, a negative dimension bound carrying no information.
-    The A-hat genus and the plus-chirality Rarita-Schwinger index come along,
-    so that each number is computed once per report.  Reports exist only for
-    spin inputs with c_1 <= 0.
+    The A-hat genus (a Fraction) and the plus-chirality Rarita-Schwinger
+    index come along, so that each number is computed once per report.
+    Reports exist only for spin inputs with c_1 <= 0.
     """
 
-    ci: CompleteIntersection
-    n: int
-    spin: bool
-    curvature: CurvatureClass
-    charnum: int
-    a_hat_genus: Fraction
-    rs_index_plus: int
-    parallel_spinor_deduction: int
-    bound_plus: int
-    bound_minus: int
-    bound_total: int
+    __slots__ = ()
 
 
 def max_parallel_spinors(n: int) -> int:

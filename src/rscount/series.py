@@ -19,13 +19,13 @@ the benchmark stops tracing them.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Sequence, Union
 
 from .rings import MultiPoly
 
-Coefficient = Union[Fraction, MultiPoly]
+Coefficient = Fraction | MultiPoly
 
 
 def _coefficient(value) -> Coefficient:

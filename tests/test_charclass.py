@@ -6,6 +6,7 @@ K3/CP^2 invariants, and a symbolic expansion of the raw (un-normalized)
 integrand.
 """
 
+import pickle
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, prod
@@ -55,6 +56,28 @@ class TestCompleteIntersection:
             CompleteIntersection(2, (True, 3))
         with pytest.raises(InvalidInputError):
             CompleteIntersection(True, (4,))
+
+    @pytest.mark.parametrize("fields", [{"m": 0}, {"degrees": ()}])
+    def test_replace_validates(self, fields):
+        with pytest.raises(InvalidInputError):
+            K3._replace(**fields)
+
+    def test_replace_sorts(self):
+        assert K3._replace(degrees=(6, 4)).degrees == (4, 6)
+
+    def test_is_immutable(self):
+        with pytest.raises(AttributeError):
+            K3.m = 3
+
+    def test_repr(self):
+        assert repr(K3) == "CompleteIntersection(m=2, degrees=(4,))"
+
+    def test_pickle_round_trip(self):
+        assert pickle.loads(pickle.dumps(K3)) == K3
+
+    def test_is_the_tuple_of_its_fields(self):
+        m, degrees = K3
+        assert K3 == (m, degrees) == (2, (4,))
 
 
 class TestFirstChernClass:
@@ -513,6 +536,7 @@ class TestRaritaSchwingerIndex:
         with pytest.raises(InvalidInputError):
             rs_index(CompleteIntersection(2, (5,)), "plus")
 
-    def test_rejects_unknown_chirality(self):
+    @pytest.mark.parametrize("chirality", ["both", True, None, "PLUS"])
+    def test_rejects_unknown_chirality(self, chirality):
         with pytest.raises(InvalidInputError):
-            rs_index(K3, "both")
+            rs_index(K3, chirality)

@@ -1,9 +1,15 @@
 """Every module of the package uses each name it imports, except on lines
 marked ``# noqa``: an import left behind by a deleted call is dead code.
 And ``rscount.charclass`` imports nothing from ``rscount.series``, the
-tests' oracle, so that the oracle shares no code with the production route."""
+tests' oracle, so that the oracle shares no code with the production route.
+No module imports ``dataclasses`` or ``typing``, and importing the CLI
+loads neither them nor what only one command needs, which keeps a cold
+call's start-up short."""
 
 import ast
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +83,19 @@ def test_finds_each_way_of_importing_a_module():
 def test_charclass_shares_no_code_with_the_series_oracle():
     source = (REPO_ROOT / "src" / "rscount" / "charclass.py").read_text()
     assert "rscount.series" not in imported_paths(source)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_neither_dataclasses_nor_typing(path):
+    modules = {name.split(".")[0] for name in imported_paths(path.read_text())}
+    assert modules.isdisjoint({"dataclasses", "typing"})
+
+
+def test_importing_the_cli_loads_no_slow_or_single_command_module():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    code = ("import sys, rscount.cli; print(' '.join(sorted(name for name in "
+            "('dataclasses', 'inspect', 'typing', 'rscount.verify', 'csv') "
+            "if name in sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split() == []
