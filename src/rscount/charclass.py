@@ -97,7 +97,7 @@ _KEY_STEP_S, _KEY_STEP_ORDER_S, _TERM_S = 1.5e-6, 28e-9, 4e-6
 # past it the input is refused before any binomial or power sum is computed.
 # Admitted: `compute` at MAX_COMPLEX_DIM with degree m+4 (1.54 s estimated,
 # 0.5 s in process: six binomials priced as the one that takes 0.5 s) and
-# verify's (130, 1) polynomial (1.43 s, 1.0 to 1.5 s).  Refused: the (30, 8)
+# the (138, 1) polynomial (1.79 s, 1.3 to 1.6 s).  Refused: the (30, 8)
 # polynomial (2.28 s, 1.4 to 2.0 s) and m = 300 with degrees 2, 2, 4, ...,
 # 2^13, 10^12 (2.34 s, 1.2 to 1.6 s).
 MAX_ESTIMATED_SECONDS = 1.8
@@ -455,6 +455,7 @@ def _polynomial_seconds(m: int, r: int) -> float:
     """Estimated time of char_number_polynomial(m, r).  Past the budget on
     its m/2 + 1 one-part keys alone, it stops there, before counting the
     keys takes long."""
+    m = min(m, 2**64)  # any larger m is as far past the budget, in a float's range
     half = m // 2
     steps = half**2 * (_KEY_STEP_S + _KEY_STEP_ORDER_S * m)
     if steps * (half + 1) > MAX_ESTIMATED_SECONDS:

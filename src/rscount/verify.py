@@ -6,25 +6,20 @@ budget."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .charclass import (CompleteIntersection, _koszul_coefficients,
-                        _require_int, _riemann_roch_numbers, char_number_polynomial)
+from .charclass import (MAX_ESTIMATED_SECONDS, CompleteIntersection, _koszul_coefficients,
+                        _polynomial_seconds, _require_budget, _require_int,
+                        _riemann_roch_numbers, char_number_polynomial)
 from .rings import MultiPoly
 from .rsbounds import (cy_hypersurface_bound_closed_form, exceeds_torus,
                        hypersurface_char_number_closed_form, rs_lower_bound)
 
-# Input budgets, with cold times (medians of 5) on a 2-vCPU Xeon, whose speed
-# swings by up to 2x: closed-form and torus-inequality at MAX_M 0.72 s and
-# 0.32 s; hypersurface-poly at HYPERSURFACE_MAX_M 1.4-1.6 s (1.05-1.2 s in
-# process); symmetric-poly at m = 20, r = 8 1.6-1.8 s.  symmetric-poly's time
-# grows with the C(m/2 + r, r) terms of the polynomial it checks, in process
-# at r = 8: m = 10 takes 0.035 s, m = 16 0.36-0.47 s, m = 20 1.2-1.8 s and
-# m = 22 2.9-3.2 s.
-MAX_M = 1600
-HYPERSURFACE_MAX_M = 130
-SYMMETRIC_MAX_M = 20
-SYMMETRIC_MAX_R = 8
+MAX_M = 1600  # closed-form and torus-inequality there: 0.72 s and 0.32 s cold
+SYMMETRIC_MAX_R = 8  # the model prices no Koszul sum at the three points: ~r^3 past r = 100
+# symmetric-poly's passes over its expanded terms (is_symmetric, variable_degree, the
+# specialization, three evaluate calls) took 18 to 28 us a term at m = 10..20, r = 6..8.
+_SUITE_TERM_S = 30e-6
 
 
 def closed_form(max_m: int) -> list[tuple[str, bool]]:
@@ -52,7 +47,7 @@ def torus_inequality(max_m: int) -> list[tuple[str, bool]]:
 def hypersurface_poly(m: int) -> tuple[int, Fraction, list[tuple[str, bool]]]:
     """Degree and a^{m+1} coefficient of the r = 1 polynomial, and checks:
     zero for odd m, else degree m+1 and that coefficient in closed form."""
-    _require_int(m, "m", 1, HYPERSURFACE_MAX_M, "HYPERSURFACE_MAX_M")
+    _require_int(m, "m")
     poly = char_number_polynomial(m, 1)
     leading = poly.coefficient((m + 1,))
     if m % 2:
@@ -63,13 +58,23 @@ def hypersurface_poly(m: int) -> tuple[int, Fraction, list[tuple[str, bool]]]:
         ("leading coefficient matches closed form", leading == expected)]
 
 
+def _symmetric_poly_seconds(m: int, r: int) -> float:
+    """symmetric_poly's estimate: its polynomial, then for even m the r = 1 one if
+    r > 1, and _SUITE_TERM_S for each of the C(m/2 + r, r) expanded terms."""
+    seconds = _polynomial_seconds(m, r)
+    if m % 2 or seconds > MAX_ESTIMATED_SECONDS:  # a huge m's term count passes a float
+        return seconds
+    return seconds + (r > 1) * _polynomial_seconds(m, 1) + _SUITE_TERM_S * comb(m // 2 + r, r)
+
+
 def symmetric_poly(m: int, r: int) -> list[tuple[str, bool]]:
     """Checks on the polynomial in a_1..a_r: zero for odd m, else symmetric,
     of degree m+1 in each a_i, the r = 1 polynomial at (a, 1, ..., 1), and
     the Koszul sum, over every signed subset sum whatever the term limit, at
-    integer degrees."""
-    _require_int(m, "m", 1, SYMMETRIC_MAX_M, "SYMMETRIC_MAX_M")
+    integer degrees.  Refused past MAX_ESTIMATED_SECONDS before any work."""
+    _require_int(m, "m")
     _require_int(r, "r", 1, SYMMETRIC_MAX_R, "SYMMETRIC_MAX_R")
+    _require_budget(_symmetric_poly_seconds(m, r), f"symmetric_poly({m}, {r})")
     poly = char_number_polynomial(m, r)
     if m % 2:
         return [("identically zero (odd m)", not poly)]
@@ -82,8 +87,8 @@ def symmetric_poly(m: int, r: int) -> list[tuple[str, bool]]:
     return [("symmetric in the degrees", poly.is_symmetric()),
             ("degree in each variable equals m+1",
              all(poly.variable_degree(i) == m + 1 for i in range(r))),
-            ("specialization at (a,1,...,1) matches r=1",
-             MultiPoly(1, specialized) == char_number_polynomial(m, 1)),
+            ("specialization at (a,1,...,1) matches r=1", MultiPoly(1, specialized) == (
+                poly if r == 1 else char_number_polynomial(m, 1))),
             ("matches char_number at integer degrees",
              all(poly.evaluate(list(ci.degrees)) == _riemann_roch_numbers(
                  ci, _koszul_coefficients(ci.degrees, 2**r))[0] for ci in points))]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rscount import charclass
+from rscount import charclass, verify
 from rscount.charclass import (MAX_ESTIMATED_SECONDS, CompleteIntersection,
                                CurvatureClass, InvalidInputError,
                                _bernoulli_ratios, _koszul_coefficients,
@@ -353,7 +353,7 @@ class TestBudgets:
 
     @pytest.mark.parametrize("m, r", [
         (21, 2), (19, 3), (15, 4), (11, 5), (9, 6),     # the benchmark's largest
-        (130, 1), (20, 8),                              # verify's caps
+        (130, 1), (20, 8),                              # verify's polynomial suites
         (24, 8), (40, 4), (100, 1)])
     def test_polynomials_within_the_budget_run(self, m, r, monkeypatch):
         def reached(*args):
@@ -365,7 +365,9 @@ class TestBudgets:
     @pytest.mark.parametrize("m, r", [
         (200, 1),       # 7.5 s in process
         (30, 8),        # 2.0 s, 490314 terms
-        (10**9, 1), (2, 10**9)])
+        (10**9, 1), (2, 10**9),
+        # priced as 2^64: its own estimate is past any float
+        pytest.param(10**400, 1, id="10^400-1")])
     def test_polynomials_past_the_budget_are_refused(self, m, r, monkeypatch):
         def fail(*args):
             raise AssertionError("the recurrence ran past the budget")
@@ -401,6 +403,11 @@ class TestBudgets:
         # the polynomial's estimate stops early past the budget, but only there
         larger = _polynomial_seconds(m + 2 * growth, r + more)
         assert larger >= _polynomial_seconds(m, r) or larger > MAX_ESTIMATED_SECONDS
+        # and so does that of verify's symmetric-poly suite, which adds to it
+        for grown_m, grown_r in ((m + 2 * growth, r), (m, r + more)):
+            larger = verify._symmetric_poly_seconds(grown_m, grown_r)
+            assert (larger >= verify._symmetric_poly_seconds(m, r)
+                    or larger > MAX_ESTIMATED_SECONDS)
 
 
 def series_bernoulli_ratios(order):

@@ -19,7 +19,7 @@ from conftest import golden, run_cli
 
 from rscount import charclass, cli, rsbounds, series, verify
 from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS,
-                               CompleteIntersection, char_number)
+                               CompleteIntersection, InvalidInputError, char_number)
 from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               hypersurface_char_number_closed_form)
 from rscount.series import PowerSeries
@@ -368,12 +368,8 @@ class TestInputBudgets:
          MAX_TORUS_DIM, 1, "MAX_TORUS_DIM"),
         (("verify", "closed-form", "--max-m"), verify.MAX_M, 1, "MAX_M"),
         (("verify", "torus-inequality", "--max-m"), verify.MAX_M, 2, "MAX_M"),
-        (("verify", "hypersurface-poly", "--m"), verify.HYPERSURFACE_MAX_M, 1,
-         "HYPERSURFACE_MAX_M"),
-        (("verify", "symmetric-poly", "--r", "2", "--m"), verify.SYMMETRIC_MAX_M, 1,
-         "SYMMETRIC_MAX_M"),
-        (("verify", "symmetric-poly", "--m", str(verify.SYMMETRIC_MAX_M), "--r"),
-         verify.SYMMETRIC_MAX_R, 1, "SYMMETRIC_MAX_R"),
+        (("verify", "symmetric-poly", "--m", "2", "--r"), verify.SYMMETRIC_MAX_R, 1,
+         "SYMMETRIC_MAX_R"),
     ])
     def test_edges(self, argv, largest, past, budget, capsys):
         assert cli.main([*argv, str(largest), "--quiet"]) == 0
@@ -381,6 +377,49 @@ class TestInputBudgets:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"{budget} = {largest}" in err
+
+    @pytest.mark.parametrize("argv, estimate, old_cap", [
+        (("hypersurface-poly",), lambda m: charclass._polynomial_seconds(m, 1), 130),
+        (("symmetric-poly", "--r", "1"), lambda m: verify._symmetric_poly_seconds(m, 1), 20),
+        (("symmetric-poly", "--r", "2"), lambda m: verify._symmetric_poly_seconds(m, 2), 20),
+        (("symmetric-poly", "--r", "8"), lambda m: verify._symmetric_poly_seconds(m, 8), 20),
+    ], ids=["hypersurface-poly", "r=1", "r=2", "r=8"])
+    def test_polynomial_suite_edges(self, argv, estimate, old_cap, capsys):
+        # the cost model sets each edge: every check passes at the largest even
+        # m it admits, and the next even m is refused before any work
+        largest = 2
+        while estimate(largest + 2) <= MAX_ESTIMATED_SECONDS:
+            largest += 2
+        assert largest >= old_cap  # every m the earlier hand-set cap admitted stays admitted
+        assert cli.main(["verify", *argv, "--m", str(largest)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["allPass"] is True
+        assert cli.main(["verify", *argv, "--m", str(largest + 2)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}" in err
+
+    @pytest.mark.parametrize("argv, call", [
+        (("hypersurface-poly", "--m", "140"), lambda: verify.hypersurface_poly(140)),
+        (("symmetric-poly", "--m", "22", "--r", "8"), lambda: verify.symmetric_poly(22, 8)),
+        (("symmetric-poly", "--m", "72", "--r", "2"), lambda: verify.symmetric_poly(72, 2)),
+        # past any float: priced as 2^64, far past the budget
+        (("hypersurface-poly", "--m", str(10**400)), lambda: verify.hypersurface_poly(10**400)),
+        (("symmetric-poly", "--m", str(10**400), "--r", "2"),
+         lambda: verify.symmetric_poly(10**400, 2)),
+    ], ids=["hypersurface-poly-140", "symmetric-poly-22-8", "symmetric-poly-72-2",
+            "hypersurface-poly-10^400", "symmetric-poly-10^400-2"])
+    def test_polynomial_suites_refuse_before_any_work(self, argv, call, monkeypatch, capsys):
+        def fail(*args):
+            raise AssertionError("a power sum or binomial was computed past the budget")
+        monkeypatch.setattr(charclass, "_power_sum_pairings", fail)
+        monkeypatch.setattr(verify, "_riemann_roch_numbers", fail)
+        budget = f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}"
+        assert cli.main(["verify", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert budget in err
+        with pytest.raises(InvalidInputError, match=budget):
+            call()
 
     @pytest.mark.parametrize("command, flags", [
         ("compute", lambda m: ["--degrees", str(m + 4)]),

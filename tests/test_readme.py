@@ -34,15 +34,20 @@ def test_example_exits_0(line):
 
 def test_budgets_quoted_in_the_cli_section_are_the_library_values():
     """Each `module.NAME` = value, with 10^k and c·10^k read as powers, and
-    decimals such as 1.8 as floats."""
+    decimals such as 1.8 as floats; and the quoted names are exactly the
+    public upper-case constants that charclass, rsbounds, verify and cli
+    assign at their top level."""
     section = _section("CLI")
     quoted = re.findall(r"`(\w+)\.([A-Z][A-Z_]*)` =\s+(?:(\d+)·)?(10\^)?(\d+(?:\.\d+)?)",
                         section)
-    assert len(quoted) >= 10
     assert re.findall(r"`[A-Z][A-Z_]*` = \d", section) == []  # each name has its module
     for module, name, factor, power, number in quoted:
         value = int(factor or 1) * (10 ** int(number) if power else float(number))
         assert getattr(importlib.import_module(f"rscount.{module}"), name) == value, name
+    defined = {(module, name) for module in ("charclass", "rsbounds", "verify", "cli")
+               for name in re.findall(r"^([A-Z][A-Z_]*) =", (
+                   REPO_ROOT / "src" / "rscount" / f"{module}.py").read_text(), re.MULTILINE)}
+    assert {(module, name) for module, name, *_ in quoted} == defined
 
 
 def test_library_example_gives_its_commented_values(capsys):
