@@ -460,7 +460,9 @@ def _polynomial_seconds(m: int, r: int) -> float:
     steps = half**2 * (_KEY_STEP_S + _KEY_STEP_ORDER_S * m)
     if steps * (half + 1) > MAX_ESTIMATED_SECONDS:
         return steps * (half + 1)
-    return steps * _partition_count(half, r) + _TERM_S * (0 if m % 2 else comb(half + r, half))
+    # any more expanded terms are as far past the budget, in a float's range
+    terms = 0 if m % 2 else min(comb(half + r, half), 2**64)
+    return steps * _partition_count(half, r) + _TERM_S * terms
 
 
 def _partition_count(total: int, parts: int) -> int:

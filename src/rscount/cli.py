@@ -76,64 +76,72 @@ class _ExitOneParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = _ExitOneParser(add_help=False)
-    shared.add_argument("--format", choices=FORMATS, default="json",
-                        help="output format (default: json)")
-    shared.add_argument("--quiet", action="store_true",
-                        help="suppress the stdout payload; rely on exit codes")
-    shared.add_argument("--meta", action="store_true",
-                        help="attach tool metadata to JSON output")
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for a command line whose first argument is ``command``."""
+    def compute(parser):
+        parser.add_argument("--complex-dim", type=int, required=True, metavar="M",
+                            help="complex dimension m")
+        parser.add_argument("--degrees", type=int, nargs="+", required=True,
+                            metavar="A", help="degrees of the defining polynomials")
+        parser.set_defaults(handler=_cmd_compute)
 
+    def table(parser):
+        parser.add_argument("name", choices=("parallel-spinors", "calabi-yau"))
+        parser.add_argument("--max-n", type=int, metavar="N",
+                            help="largest dimension n (parallel-spinors)")
+        parser.add_argument("--max-m", type=int, metavar="M",
+                            help="largest complex dimension m (calabi-yau)")
+        parser.set_defaults(handler=_cmd_table)
+
+    def verify(parser):
+        parser.add_argument("suite", choices=("hypersurface-poly", "symmetric-poly",
+                                              "closed-form", "torus-inequality"))
+        parser.add_argument("--max-m", type=int, metavar="M")
+        parser.add_argument("--m", type=int, metavar="M")
+        parser.add_argument("--r", type=int, metavar="R")
+        parser.set_defaults(handler=_cmd_verify)
+
+    def search(parser):
+        parser.add_argument("--complex-dim", type=int, required=True, metavar="M")
+        parser.add_argument("--threshold", type=int, required=True, metavar="C")
+        parser.set_defaults(handler=_cmd_search)
+
+    def product(parser):
+        parser.add_argument("--complex-dim", type=int, required=True, metavar="M")
+        parser.add_argument("--degrees", type=int, nargs="+", required=True, metavar="A")
+        parser.add_argument("--torus-dim", type=int, required=True, metavar="K")
+        parser.set_defaults(handler=_cmd_product)
+
+    # Every command stays registered with its name and help: argparse builds
+    # the top-level help, the usage line and the invalid-choice error from
+    # them.  Only the command that runs gets its arguments, which are most of
+    # the parser's cost; when the first argument names no command, all do.
+    # A parser built once per process would cost nothing per call, but the
+    # benchmark keeps a sample per finished job, so the extra jobs would read
+    # as peak memory past its 5% bound (ROADMAP item 1).
+    commands = (
+        ("compute", "bound report for one complete intersection", compute),
+        ("table", "emit a reference table", table),
+        ("verify", "run a verification suite", verify),
+        ("search", "smallest even degree whose hypersurface beats a threshold", search),
+        ("product", "bound for the product with a flat torus", product))
+    named = command in {name for name, _, _ in commands}
     parser = _ExitOneParser(
         prog="rscount",
         description="Exact characteristic numbers of complete intersections "
                     "and the Rarita-Schwinger dimension bounds they imply.")
-    commands = parser.add_subparsers(dest="command", required=True,
-                                     parser_class=_ExitOneParser)
-
-    compute = commands.add_parser(
-        "compute", parents=[shared],
-        help="bound report for one complete intersection")
-    compute.add_argument("--complex-dim", type=int, required=True, metavar="M",
-                         help="complex dimension m")
-    compute.add_argument("--degrees", type=int, nargs="+", required=True,
-                         metavar="A", help="degrees of the defining polynomials")
-    compute.set_defaults(handler=_cmd_compute)
-
-    table = commands.add_parser(
-        "table", parents=[shared], help="emit a reference table")
-    table.add_argument("name", choices=("parallel-spinors", "calabi-yau"))
-    table.add_argument("--max-n", type=int, metavar="N",
-                       help="largest dimension n (parallel-spinors)")
-    table.add_argument("--max-m", type=int, metavar="M",
-                       help="largest complex dimension m (calabi-yau)")
-    table.set_defaults(handler=_cmd_table)
-
-    verify = commands.add_parser(
-        "verify", parents=[shared], help="run a verification suite")
-    verify.add_argument("suite", choices=("hypersurface-poly", "symmetric-poly",
-                                          "closed-form", "torus-inequality"))
-    verify.add_argument("--max-m", type=int, metavar="M")
-    verify.add_argument("--m", type=int, metavar="M")
-    verify.add_argument("--r", type=int, metavar="R")
-    verify.set_defaults(handler=_cmd_verify)
-
-    search = commands.add_parser(
-        "search", parents=[shared],
-        help="smallest even degree whose hypersurface beats a threshold")
-    search.add_argument("--complex-dim", type=int, required=True, metavar="M")
-    search.add_argument("--threshold", type=int, required=True, metavar="C")
-    search.set_defaults(handler=_cmd_search)
-
-    product = commands.add_parser(
-        "product", parents=[shared],
-        help="bound for the product with a flat torus")
-    product.add_argument("--complex-dim", type=int, required=True, metavar="M")
-    product.add_argument("--degrees", type=int, nargs="+", required=True, metavar="A")
-    product.add_argument("--torus-dim", type=int, required=True, metavar="K")
-    product.set_defaults(handler=_cmd_product)
-
+    subparsers = parser.add_subparsers(dest="command", required=True,
+                                       parser_class=_ExitOneParser)
+    for name, help_text, add_arguments in commands:
+        subparser = subparsers.add_parser(name, help=help_text)
+        if name == command or not named:
+            subparser.add_argument("--format", choices=FORMATS, default="json",
+                                   help="output format (default: json)")
+            subparser.add_argument("--quiet", action="store_true",
+                                   help="suppress the stdout payload; rely on exit codes")
+            subparser.add_argument("--meta", action="store_true",
+                                   help="attach tool metadata to JSON output")
+            add_arguments(subparser)
     return parser
 
 
@@ -233,7 +241,8 @@ def _cmd_product(args) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     # The parser's actions and groups point back at it, so it dies only in a
     # cyclic collection.  Collect it now, while it is young: otherwise, when
     # main runs many times in one process, parsers that a collection caught

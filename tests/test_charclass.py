@@ -367,7 +367,10 @@ class TestBudgets:
         (30, 8),        # 2.0 s, 490314 terms
         (10**9, 1), (2, 10**9),
         # priced as 2^64: its own estimate is past any float
-        pytest.param(10**400, 1, id="10^400-1")])
+        pytest.param(10**400, 1, id="10^400-1"),
+        # priced at 2^64 expanded terms: their count is past any float
+        (100, 10**9), pytest.param(40, 10**40, id="40-10^40"),
+        pytest.param(2, 10**400, id="2-10^400")])
     def test_polynomials_past_the_budget_are_refused(self, m, r, monkeypatch):
         def fail(*args):
             raise AssertionError("the recurrence ran past the budget")

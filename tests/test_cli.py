@@ -1,10 +1,12 @@
 """End-to-end CLI tests: golden JSON output, exit codes, formats.
 
-Golden files were generated from paper-table and oracle literals, not from
-captured CLI output, so these tests pin both the byte-level schema and the
-numeric content.
+The result goldens were generated from paper-table and oracle literals, not
+from captured CLI output, so these tests pin both the byte-level schema and
+the numeric content.  The ``cli_*.json`` goldens are captured CLI output:
+the stdout, stderr and exit code of help and usage-error invocations.
 """
 
+import argparse
 import contextlib
 import gc
 import json
@@ -511,6 +513,56 @@ class TestHelpText:
         assert max(map(len, text.splitlines())) <= 78
         if code:
             assert stdout == "" and "required: --degrees" in stderr
+
+
+    # Help and error texts that argparse builds from every registered command,
+    # whose arguments the parser adds only when the command runs: the bytes
+    # must not depend on which commands got their arguments.
+    @pytest.mark.parametrize("name, argv", [
+        ("help", ["--help"]),
+        ("help_before_command", ["-h", "compute"]),
+        *((f"help_{command}", [command, "--help"])
+          for command in ("compute", "table", "verify", "search", "product")),
+        ("no_command", []),
+        ("unknown_command", ["bogus"]),
+        ("missing_flag", ["compute", "--complex-dim", "2"]),
+        ("unknown_flag", ["compute", "--bogus"]),
+        ("double_dash", ["--", "compute", "--complex-dim", "2", "--degrees", "4"]),
+        ("extra_positional", ["search", "--complex-dim", "2", "--threshold", "1", "extra"]),
+    ])
+    def test_help_and_error_bytes(self, name, argv):
+        proc = run_cli(*argv)
+        captured = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+        assert captured == json.loads(golden(f"cli_{name}.json"))
+
+
+class TestParserBuilding:
+    # each command's arguments, by destination, when the parser has them all
+    FULL = {
+        "compute": ["help", "format", "quiet", "meta", "complex_dim", "degrees"],
+        "table": ["help", "format", "quiet", "meta", "name", "max_n", "max_m"],
+        "verify": ["help", "format", "quiet", "meta", "suite", "max_m", "m", "r"],
+        "search": ["help", "format", "quiet", "meta", "complex_dim", "threshold"],
+        "product": ["help", "format", "quiet", "meta", "complex_dim", "degrees", "torus_dim"],
+    }
+
+    @staticmethod
+    def arguments(parser):
+        (subparsers,) = [action for action in parser._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        return {name: [action.dest for action in subparser._actions]
+                for name, subparser in subparsers.choices.items()}
+
+    @pytest.mark.parametrize("command", list(FULL))
+    def test_only_the_named_command_gets_its_arguments(self, command):
+        # the others stay registered, with nothing beyond -h
+        expected = {name: ["help"] for name in self.FULL}
+        expected[command] = self.FULL[command]
+        assert self.arguments(cli._build_parser(command)) == expected
+
+    @pytest.mark.parametrize("first", [None, "--help", "-h", "--", "bogus", "--format"])
+    def test_a_first_argument_naming_no_command_builds_every_command(self, first):
+        assert self.arguments(cli._build_parser(first)) == self.FULL
 
 
 class TestGlobalFlags:
