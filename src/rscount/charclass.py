@@ -226,14 +226,20 @@ def _folded_koszul_sum(m: int, degrees: Sequence[int],
     numbers are zero.  Each binomial is computed once, reflected as
     C(x, n) = (-1)^n C(n-1-x, n) for 2x < n-1.  On spin inputs t0 is an
     integer, D = 1 and each binomial is a math.comb.  Otherwise t0 is a
-    half-integer, and D = 2^n n! makes D C(x, n) = prod_{i<n} (2x - 2i) an integer.
+    half-integer, and 2^n n! C(x, n) = prod_{i<n} (2x - 2i) is a product of n
+    consecutive odd integers, which the odd part of n! divides; so
+    D = 2^(n + v2(n!)), with v2(n!) = n - popcount(n), and each binomial is
+    that product divided exactly by the odd part.
     """
     if m % 2:
         return 0, 0, 1
     n = m + len(degrees)
     twice_t0 = sum(degrees) - n - 1
     spin = twice_t0 % 2 == 0
-    denominator = 1 if spin else 2**n * factorial(n)
+    denominator = 1
+    if not spin:
+        twos = n - n.bit_count()
+        odd, denominator = factorial(n) >> twos, 2 ** (n + twos)
     sign, binomials = (-1) ** n, {}
 
     def chi(shift: int) -> int:
@@ -244,8 +250,9 @@ def _folded_koszul_sum(m: int, degrees: Sequence[int],
             if twice_x < n - 1:
                 twice_x, c = 2 * n - 2 - twice_x, sign * c
             if twice_x not in binomials:
-                binomials[twice_x] = (comb(twice_x // 2, n) if spin
-                                      else _tree_product(range(twice_x, twice_x - 2 * n, -2)))
+                binomials[twice_x] = (
+                    comb(twice_x // 2, n) if spin
+                    else _tree_product(range(twice_x, twice_x - 2 * n, -2)) // odd)
             total += c * binomials[twice_x]
         return total
 

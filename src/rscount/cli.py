@@ -114,11 +114,12 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     # Every command stays registered with its name and help: argparse builds
     # the top-level help, the usage line and the invalid-choice error from
-    # them.  Only the command that runs gets its arguments, which are most of
-    # the parser's cost; when the first argument names no command, all do.
-    # A parser built once per process would cost nothing per call, but the
-    # benchmark keeps a sample per finished job, so the extra jobs would read
-    # as peak memory past its 5% bound (ROADMAP item 1).
+    # them.  That is all the idle commands carry; only the command that runs
+    # gets -h and its arguments, which are most of the parser's cost, and when
+    # the first argument names no command, all five do.  Dropping the idle
+    # registrations, or building the parser once per process, would cost less
+    # per call, but the benchmark keeps a sample per finished job, so the
+    # extra jobs would read as peak memory past its 5% bound (ROADMAP item 1).
     commands = (
         ("compute", "bound report for one complete intersection", compute),
         ("table", "emit a reference table", table),
@@ -133,8 +134,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_ExitOneParser)
     for name, help_text, add_arguments in commands:
-        subparser = subparsers.add_parser(name, help=help_text)
-        if name == command or not named:
+        runs = name == command or not named
+        subparser = subparsers.add_parser(name, help=help_text, add_help=runs)
+        if runs:
             subparser.add_argument("--format", choices=FORMATS, default="json",
                                    help="output format (default: json)")
             subparser.add_argument("--quiet", action="store_true",

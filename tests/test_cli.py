@@ -516,8 +516,8 @@ class TestHelpText:
 
 
     # Help and error texts that argparse builds from every registered command,
-    # whose arguments the parser adds only when the command runs: the bytes
-    # must not depend on which commands got their arguments.
+    # whose arguments and -h the parser adds only when the command runs: the
+    # bytes must not depend on which commands got them.
     @pytest.mark.parametrize("name, argv", [
         ("help", ["--help"]),
         ("help_before_command", ["-h", "compute"]),
@@ -529,6 +529,12 @@ class TestHelpText:
         ("unknown_flag", ["compute", "--bogus"]),
         ("double_dash", ["--", "compute", "--complex-dim", "2", "--degrees", "4"]),
         ("extra_positional", ["search", "--complex-dim", "2", "--threshold", "1", "extra"]),
+        # a named command's extra argument prints the top-level usage
+        ("extra_compute", ["compute", "--degrees", "4", "--complex-dim", "2", "extra"]),
+        ("extra_product", ["product", "--complex-dim", "2", "--degrees", "4",
+                           "--torus-dim", "1", "extra"]),
+        ("extra_table", ["table", "calabi-yau", "--max-m", "2", "extra"]),
+        ("extra_verify", ["verify", "closed-form", "--max-m", "2", "extra"]),
     ])
     def test_help_and_error_bytes(self, name, argv):
         proc = run_cli(*argv)
@@ -555,14 +561,27 @@ class TestParserBuilding:
 
     @pytest.mark.parametrize("command", list(FULL))
     def test_only_the_named_command_gets_its_arguments(self, command):
-        # the others stay registered, with nothing beyond -h
-        expected = {name: ["help"] for name in self.FULL}
+        # the others stay registered by name and help only
+        expected = {name: [] for name in self.FULL}
         expected[command] = self.FULL[command]
         assert self.arguments(cli._build_parser(command)) == expected
 
     @pytest.mark.parametrize("first", [None, "--help", "-h", "--", "bogus", "--format"])
     def test_a_first_argument_naming_no_command_builds_every_command(self, first):
         assert self.arguments(cli._build_parser(first)) == self.FULL
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--complex-dim", "4", "--degrees", "6", "8"],
+        ["table", "calabi-yau", "--max-m", "4"],
+        ["verify", "symmetric-poly", "--m", "3", "--r", "2"],
+        ["search", "--complex-dim", "2", "--threshold", "100"],
+        ["product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "1"],
+        ["compute", "--complex-dim", "2", "--degrees", "4",
+         "--format", "csv", "--quiet", "--meta"],
+    ])
+    def test_the_named_command_parses_as_with_every_command(self, argv):
+        trimmed = cli._build_parser(argv[0]).parse_args(argv)
+        assert vars(trimmed) == vars(cli._build_parser(None).parse_args(argv))
 
 
 class TestGlobalFlags:
