@@ -63,7 +63,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lgamma, log, prod
+from math import comb, factorial, inf, lgamma, log, prod
 from operator import itemgetter
 
 from .rings import MultiPoly
@@ -85,7 +85,8 @@ MAX_COMPLEX_DIM = 80000
 # - Power sums: (m/2)^2 steps, each _POWER_STEP_S plus _POWER_STEP_BIT_S * m
 #   * the bits of the largest degree, as their rationals grow with both.
 # - The polynomial: the same steps on each of its keys (_partition_count), at
-#   _KEY_STEP_S + _KEY_STEP_ORDER_S * m, and _TERM_S per expanded term.
+#   _KEY_STEP_S + _KEY_STEP_ORDER_S * m, and _TERM_S per expanded term, an
+#   r-tuple: fitted at r <= 8, and times r/8 past it.
 # Over even m = 2..120 and r = 4..12 distinct powers of two, spin and
 # non-spin, the cheaper estimate's route took 3.8% longer in all than the
 # faster route, where 3(m+2) sums, the earlier rule, took 28.5% longer.
@@ -209,8 +210,12 @@ def _koszul_coefficients(degrees: Sequence[int], limit: float) -> dict[int, int]
 
 
 def _riemann_roch_numbers(ci: CompleteIntersection,
-                          coeffs: dict[int, int]) -> tuple[Fraction, Fraction]:
-    """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>) by the Koszul sum."""
+                          limit: float = inf) -> tuple[Fraction, Fraction] | None:
+    """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>) by the Koszul sum, or
+    None as soon as more than ``limit`` signed subset sums are live."""
+    coeffs = _koszul_coefficients(ci.degrees, limit)
+    if coeffs is None:
+        return None
     charnum, a_hat, denominator = _folded_koszul_sum(ci.m, ci.degrees, coeffs)
     return Fraction(charnum, denominator), Fraction(a_hat, denominator)
 
@@ -391,13 +396,12 @@ def _characteristic_numbers(ci: CompleteIntersection) -> tuple[int | Fraction, F
                     f"{work}, by the cheaper route")
     # past this many sums the Koszul sum is the dearer route, or past the budget
     limit = min(power_sums, MAX_ESTIMATED_SECONDS) / per_sum
-    coeffs = _koszul_coefficients(ci.degrees, limit)
-    if coeffs is None:
+    numbers = _riemann_roch_numbers(ci, limit)
+    if numbers is None:
         _require_budget(power_sums, f"{work}, by power sums, the Koszul sum passing the "
                                     f"budget at {int(limit) + 1} terms")
-        charnum, a_hat = _power_sum_numbers(ci)
-    else:
-        charnum, a_hat = _riemann_roch_numbers(ci, coeffs)
+        numbers = _power_sum_numbers(ci)
+    charnum, a_hat = numbers
     # on spin M both are indices, hence integers
     if is_spin(ci) and (charnum.denominator, a_hat.denominator) != (1, 1):
         raise ArithmeticError(
@@ -467,9 +471,9 @@ def _polynomial_seconds(m: int, r: int) -> float:
     steps = half**2 * (_KEY_STEP_S + _KEY_STEP_ORDER_S * m)
     if steps * (half + 1) > MAX_ESTIMATED_SECONDS:
         return steps * (half + 1)
-    # any more expanded terms are as far past the budget, in a float's range
+    # any more expanded terms, or longer ones, are as far past the budget, in a float's range
     terms = 0 if m % 2 else min(comb(half + r, half), 2**64)
-    return steps * _partition_count(half, r) + _TERM_S * terms
+    return steps * _partition_count(half, r) + _TERM_S * max(1, min(r, 2**64) / 8) * terms
 
 
 def _partition_count(total: int, parts: int) -> int:

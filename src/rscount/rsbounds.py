@@ -35,6 +35,7 @@ _THRESHOLD_LIMIT = 10 ** THRESHOLD_DIGITS
 
 # Largest flat-torus dimension k accepted: 2^[k/2] has about 0.15k digits, and
 # printing takes time quadratic in that (10^6 takes under 1 s, 4*10^6 10 s).
+# It bounds n in torus_rs_dimension and max_parallel_spinors too: 2^[n/2], 2^[n/4].
 MAX_TORUS_DIM = 10**6
 
 
@@ -63,9 +64,9 @@ def max_parallel_spinors(n: int) -> int:
 
     Realized by products of K3 surfaces and up to three G2-factors:
     2^k for n = 4k or n = 4k+7, 2^{k+1} for n = 4k+14 or n = 4k+21,
-    and 0 for all other n.
+    and 0 for all other n; 1 <= n <= MAX_TORUS_DIM.
     """
-    _require_int(n, "dimension n")
+    _require_int(n, "dimension n", 1, MAX_TORUS_DIM, "MAX_TORUS_DIM")
     remainder = n % 4
     if remainder == 0:
         return 2 ** (n // 4)
@@ -82,9 +83,9 @@ def torus_rs_dimension(n: int) -> int:
     """Rarita-Schwinger fields on a flat n-torus with parallel spinors.
 
     For flat metrics all such fields are parallel, so the count is the rank
-    of the 3/2-spinor bundle: (n-1) * 2^[n/2].
+    of the 3/2-spinor bundle: (n-1) * 2^[n/2]; 1 <= n <= MAX_TORUS_DIM.
     """
-    _require_int(n, "dimension n")
+    _require_int(n, "dimension n", 1, MAX_TORUS_DIM, "MAX_TORUS_DIM")
     return (n - 1) * 2 ** (n // 2)
 
 

@@ -370,8 +370,6 @@ class TestInputBudgets:
          MAX_TORUS_DIM, 1, "MAX_TORUS_DIM"),
         (("verify", "closed-form", "--max-m"), verify.MAX_M, 1, "MAX_M"),
         (("verify", "torus-inequality", "--max-m"), verify.MAX_M, 2, "MAX_M"),
-        (("verify", "symmetric-poly", "--m", "2", "--r"), verify.SYMMETRIC_MAX_R, 1,
-         "SYMMETRIC_MAX_R"),
     ])
     def test_edges(self, argv, largest, past, budget, capsys):
         assert cli.main([*argv, str(largest), "--quiet"]) == 0
@@ -385,17 +383,20 @@ class TestInputBudgets:
         (("symmetric-poly", "--r", "1"), lambda m: verify._symmetric_poly_seconds(m, 1), 20),
         (("symmetric-poly", "--r", "2"), lambda m: verify._symmetric_poly_seconds(m, 2), 20),
         (("symmetric-poly", "--r", "8"), lambda m: verify._symmetric_poly_seconds(m, 8), 20),
-    ], ids=["hypersurface-poly", "r=1", "r=2", "r=8"])
+        (("symmetric-poly", "--m", "2"), lambda r: verify._symmetric_poly_seconds(2, r), 8),
+        (("symmetric-poly", "--m", "6"), lambda r: verify._symmetric_poly_seconds(6, r), 8),
+    ], ids=["hypersurface-poly", "r=1", "r=2", "r=8", "m=2", "m=6"])
     def test_polynomial_suite_edges(self, argv, estimate, old_cap, capsys):
         # the cost model sets each edge: every check passes at the largest even
-        # m it admits, and the next even m is refused before any work
-        largest = 2
-        while estimate(largest + 2) <= MAX_ESTIMATED_SECONDS:
-            largest += 2
-        assert largest >= old_cap  # every m the earlier hand-set cap admitted stays admitted
-        assert cli.main(["verify", *argv, "--m", str(largest)]) == 0
+        # m, or the largest r, it admits, and the next is refused before any work
+        walked, step = ("--r", 1) if "--m" in argv else ("--m", 2)
+        largest = step
+        while estimate(largest + step) <= MAX_ESTIMATED_SECONDS:
+            largest += step
+        assert largest >= old_cap  # every input the earlier hand-set caps admitted stays admitted
+        assert cli.main(["verify", *argv, walked, str(largest)]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["allPass"] is True
-        assert cli.main(["verify", *argv, "--m", str(largest + 2)]) == 1
+        assert cli.main(["verify", *argv, walked, str(largest + step)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}" in err
@@ -408,8 +409,10 @@ class TestInputBudgets:
         (("hypersurface-poly", "--m", str(10**400)), lambda: verify.hypersurface_poly(10**400)),
         (("symmetric-poly", "--m", str(10**400), "--r", "2"),
          lambda: verify.symmetric_poly(10**400, 2)),
+        (("symmetric-poly", "--m", "2", "--r", str(10**400)),
+         lambda: verify.symmetric_poly(2, 10**400)),
     ], ids=["hypersurface-poly-140", "symmetric-poly-22-8", "symmetric-poly-72-2",
-            "hypersurface-poly-10^400", "symmetric-poly-10^400-2"])
+            "hypersurface-poly-10^400", "symmetric-poly-10^400-2", "symmetric-poly-2-10^400"])
     def test_polynomial_suites_refuse_before_any_work(self, argv, call, monkeypatch, capsys):
         def fail(*args):
             raise AssertionError("a power sum or binomial was computed past the budget")
@@ -465,7 +468,7 @@ class TestInputBudgets:
         # power sums take far longer, so only the Koszul sum's estimate could admit them
         def fail(*args):
             raise AssertionError("the Koszul sum ran past its work budget")
-        monkeypatch.setattr(charclass, "_riemann_roch_numbers", fail)
+        monkeypatch.setattr(charclass, "_folded_koszul_sum", fail)
         assert cli.main(["compute", "--complex-dim", str(m), "--degrees", *map(str, degrees)]) == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -86,6 +86,8 @@ class TestTorusCounts:
 
     def test_torus_dimension_budget(self):
         assert torus_parallel_spinors(MAX_TORUS_DIM) == 2 ** (MAX_TORUS_DIM // 2)
+        assert torus_rs_dimension(MAX_TORUS_DIM) == (MAX_TORUS_DIM - 1) * 2 ** (MAX_TORUS_DIM // 2)
+        assert max_parallel_spinors(MAX_TORUS_DIM) == 2 ** (MAX_TORUS_DIM // 4)
         with pytest.raises(InvalidInputError, match="MAX_TORUS_DIM"):
             torus_parallel_spinors(MAX_TORUS_DIM + 1)
         with pytest.raises(InvalidInputError, match="MAX_TORUS_DIM"):
@@ -217,7 +219,7 @@ class TestProductBound:
 
 
 # bool is an int subclass, but True is not a dimension, degree, bound or
-# threshold; each call maps to the argument its rejection names
+# threshold, nor is n past MAX_TORUS_DIM; each call maps to the argument its rejection names
 BOOL_INPUTS = {
     lambda: find_degree_exceeding(2, True): "threshold",
     lambda: find_degree_exceeding(True, 10): "m",
@@ -226,6 +228,8 @@ BOOL_INPUTS = {
     lambda: torus_parallel_spinors(True): "torus dimension",
     lambda: torus_rs_dimension(True): "dimension n",
     lambda: max_parallel_spinors(True): "dimension n",
+    lambda: torus_rs_dimension(MAX_TORUS_DIM + 1): "dimension n",
+    lambda: max_parallel_spinors(MAX_TORUS_DIM + 1): "dimension n",
     lambda: product_bound(True, 2): "base bound",
     lambda: product_bound(38, True): "torus dimension",
     lambda: verify.closed_form(True): "max_m",

@@ -20,6 +20,8 @@ def golden_checks(name):
     (verify.closed_form, (30,), "verify_closed_form_30.json"),
     (verify.torus_inequality, (10,), "verify_torus_inequality_10.json"),
     (verify.symmetric_poly, (3, 2), "verify_symmetric_poly_3_2.json"),
+    # odd m is zero at any r: the polynomial is priced and built with no term
+    (verify.symmetric_poly, (3, 10**400), "verify_symmetric_poly_3_2.json"),
 ])
 def test_suites_return_the_golden_checks(suite, args, name):
     assert suite(*args) == golden_checks(name)[1]
