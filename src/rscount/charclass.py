@@ -85,14 +85,16 @@ MAX_COMPLEX_DIM = 80000
 # - Power sums: (m/2)^2 steps, each _POWER_STEP_S plus _POWER_STEP_BIT_S * m
 #   * the bits of the largest degree, as their rationals grow with both.
 # - The polynomial: the same steps on each of its keys (_partition_count), at
-#   _KEY_STEP_S + _KEY_STEP_ORDER_S * m, and _TERM_S per expanded term, an
-#   r-tuple: fitted at r <= 8, and times r/8 past it.
+#   _KEY_STEP_S + _KEY_STEP_ORDER_S * m + _KEY_STEP_BIT_S * the bits of m+r+1,
+#   whose powers its coefficients carry (at odd m = 21..35 and r = 10^4000 a
+#   step took 1.35 to 1.57 ns more per bit), and _TERM_S per expanded term,
+#   times _term_length(r).
 # Over even m = 2..120 and r = 4..12 distinct powers of two, spin and
 # non-spin, the cheaper estimate's route took 3.8% longer in all than the
 # faster route, where 3(m+2) sums, the earlier rule, took 28.5% longer.
 _BINOMIAL_S, _BINOMIAL_BIT_S = 0.75e-6, 20e-12
 _POWER_STEP_S, _POWER_STEP_BIT_S = 20e-6, 7e-9
-_KEY_STEP_S, _KEY_STEP_ORDER_S, _TERM_S = 1.5e-6, 28e-9, 4e-6
+_KEY_STEP_S, _KEY_STEP_ORDER_S, _KEY_STEP_BIT_S, _TERM_S = 1.5e-6, 28e-9, 1.6e-9, 4e-6
 
 # Largest estimate of the cheaper route, for the numbers and the polynomial;
 # past it the input is refused before any binomial or power sum is computed.
@@ -468,12 +470,20 @@ def _polynomial_seconds(m: int, r: int) -> float:
     keys takes long."""
     m = min(m, 2**64)  # any larger m is as far past the budget, in a float's range
     half = m // 2
-    steps = half**2 * (_KEY_STEP_S + _KEY_STEP_ORDER_S * m)
+    steps = half**2 * (_KEY_STEP_S + _KEY_STEP_ORDER_S * m
+                       + _KEY_STEP_BIT_S * (m + r + 1).bit_length())
     if steps * (half + 1) > MAX_ESTIMATED_SECONDS:
         return steps * (half + 1)
-    # any more expanded terms, or longer ones, are as far past the budget, in a float's range
+    # any more expanded terms are as far past the budget, in a float's range
     terms = 0 if m % 2 else min(comb(half + r, half), 2**64)
-    return steps * _partition_count(half, r) + _TERM_S * max(1, min(r, 2**64) / 8) * terms
+    return steps * _partition_count(half, r) + _TERM_S * _term_length(r) * terms
+
+
+def _term_length(r: int) -> float:
+    """The price of an expanded term, an r-tuple, relative to the terms of
+    the fit at r <= 8: r/8 past it, and any r past 2^64 is as far past the
+    budget, in a float's range."""
+    return max(1, min(r, 2**64) / 8)
 
 
 def _partition_count(total: int, parts: int) -> int:

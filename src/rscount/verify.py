@@ -10,15 +10,14 @@ from math import comb, factorial
 
 from .charclass import (MAX_ESTIMATED_SECONDS, CompleteIntersection, _koszul_seconds_per_sum,
                         _polynomial_seconds, _require_budget, _require_int,
-                        _riemann_roch_numbers, char_number_polynomial)
+                        _riemann_roch_numbers, _term_length, char_number_polynomial)
 from .rings import MultiPoly
 from .rsbounds import (cy_hypersurface_bound_closed_form, exceeds_torus,
                        hypersurface_char_number_closed_form, rs_lower_bound)
 
 MAX_M = 1600  # closed-form and torus-inequality there: 0.72 s and 0.32 s cold
 # symmetric-poly's passes over its expanded terms (is_symmetric, variable_degree, the
-# specialization, three evaluate calls) took 18 to 28 us a term at m = 10..20, r = 6..8;
-# a term is an r-tuple, so past r = 8 the price grows as r/8.
+# specialization, three evaluate calls) took 18 to 28 us a term at m = 10..20, r = 6..8
 _SUITE_TERM_S = 30e-6
 
 
@@ -66,14 +65,15 @@ def _integer_points(m: int, r: int) -> list[CompleteIntersection]:
 
 def _symmetric_poly_seconds(m: int, r: int) -> float:
     """symmetric_poly's estimate: its polynomial, then for even m the r = 1 one if
-    r > 1, _SUITE_TERM_S for each of the C(m/2 + r, r) expanded terms, and the
-    Koszul sum at each point, whose signed subset sums lie in 0..a_1 + ... + a_r."""
+    r > 1, _SUITE_TERM_S for each of the C(m/2 + r, r) expanded terms by their
+    length, and the Koszul sum at each point, whose signed subset sums lie in
+    0..a_1 + ... + a_r."""
     seconds = _polynomial_seconds(m, r)
     # a huge m's or r's term count passes a float, and its points would be r-tuples
     if m % 2 or seconds > MAX_ESTIMATED_SECONDS:
         return seconds
     return (seconds + (r > 1) * _polynomial_seconds(m, 1)
-            + _SUITE_TERM_S * max(1, r / 8) * comb(m // 2 + r, r)
+            + _SUITE_TERM_S * _term_length(r) * comb(m // 2 + r, r)
             + sum(_koszul_seconds_per_sum(ci) * (sum(ci.degrees) + 1)
                   for ci in _integer_points(m, r)))
 

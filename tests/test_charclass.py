@@ -361,7 +361,9 @@ class TestBudgets:
     @pytest.mark.parametrize("m, r", [
         (200, 1),       # 7.5 s in process
         (30, 8),        # 2.0 s, 490314 terms
-        (4, 600), (2, 3000),  # r-tuples: ran 13 s and 1.2 s, priced flat at 0.72 s and 0.012 s
+        (4, 600), (2, 3000),  # r-tuples: ran 13 s and 1.2 s
+        # odd m: no term, but coefficients of (m+r+1)^{m/2}, 7 s in process
+        pytest.param(35, 10**4000, id="35-10^4000"),
         (10**9, 1), (2, 10**9),
         # priced as 2^64: its own estimate is past any float
         pytest.param(10**400, 1, id="10^400-1"),

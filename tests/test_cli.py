@@ -411,8 +411,12 @@ class TestInputBudgets:
          lambda: verify.symmetric_poly(10**400, 2)),
         (("symmetric-poly", "--m", "2", "--r", str(10**400)),
          lambda: verify.symmetric_poly(2, 10**400)),
+        # odd m builds no term, but its recurrence carries powers of m+r+1
+        (("symmetric-poly", "--m", "35", "--r", str(10**4000)),
+         lambda: verify.symmetric_poly(35, 10**4000)),
     ], ids=["hypersurface-poly-140", "symmetric-poly-22-8", "symmetric-poly-72-2",
-            "hypersurface-poly-10^400", "symmetric-poly-10^400-2", "symmetric-poly-2-10^400"])
+            "hypersurface-poly-10^400", "symmetric-poly-10^400-2", "symmetric-poly-2-10^400",
+            "symmetric-poly-35-10^4000"])
     def test_polynomial_suites_refuse_before_any_work(self, argv, call, monkeypatch, capsys):
         def fail(*args):
             raise AssertionError("a power sum or binomial was computed past the budget")
