@@ -5,7 +5,8 @@ Everything is exact: the numbers come from a Riemann-Roch sum of binomials
 or, where a cost model prices it lower, like the characteristic polynomial,
 from a recurrence in the power sums of the degrees (``charclass``).  The truncated
 power series of ``rscount.series`` have no production caller; they stay as
-the tests' independent oracle.
+the tests' independent oracle for the numbers.  ``MultiPoly`` holds the
+polynomial: it is built from its terms and evaluated, and has no sum.
 """
 
 __version__ = "0.1.0"

@@ -52,8 +52,9 @@ For the numbers each y_k is an integer.  For the polynomial the
 coefficients are combinations of monomial symmetric polynomials m_lambda in
 a_1..a_r, on which only multiplication by a power sum is needed.  Both
 vanish for odd m, where every coefficient of odd order is zero.
-``rscount.series`` computes the same pairing from truncated power series;
-it has no caller here and stays as the tests' oracle.
+``rscount.series``, with no caller here, is the tests' oracle for the
+numbers by truncated power series; the tests check the polynomial against
+values of the Koszul sum.
 """
 
 from __future__ import annotations
@@ -512,7 +513,7 @@ def char_number_polynomial(m: int, r: int) -> MultiPoly:
     """
     _require_int(m, "dimension m")
     _require_int(r, "codimension r")
-    _require_budget(_polynomial_seconds(m, r), f"char_number_polynomial({m}, {r})")
+    _require_budget(_polynomial_seconds(m, r), "char_number_polynomial at this m and r")
 
     def times_y(k: int, combination: dict) -> dict:
         product = _times_power_sum(2 * k, combination, r)

@@ -1,9 +1,11 @@
-"""Exact coefficient arithmetic: rationals and sparse multivariate polynomials.
+"""Sparse multivariate polynomials with exact rational coefficients.
 
-Rationals are ``fractions.Fraction`` values: arbitrary precision, always
-stored reduced with positive denominator, zero uniquely as 0/1.  Polynomials
-are sparse maps from exponent vectors to nonzero rational coefficients.  All
-arithmetic is exact; all values are immutable.
+Coefficients are ``fractions.Fraction`` values: arbitrary precision, always
+stored reduced with positive denominator.  A polynomial is a sparse map from
+exponent vectors to nonzero coefficients, built once from its terms, as
+``char_number_polynomial`` builds its result, and then evaluated exactly,
+tested for symmetry, compared or printed.  Polynomials have no sum, and
+their product stays only for the benchmark's traced run.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ class MultiPoly:
 
     ``terms`` maps exponent vectors (one nonnegative int entry per variable)
     to coefficients, ints or Fractions, stored as nonzero Fractions; the zero
-    polynomial stores no terms.  Instances are treated as immutable: every
-    operation returns a new polynomial.
+    polynomial stores no terms.  Instances are treated as immutable.
 
     Example (2 variables)::
 
@@ -35,8 +36,9 @@ class MultiPoly:
     terms: dict[Exponents, Fraction]
 
     def __init__(self, num_vars: int, terms: Mapping[Sequence[int], Fraction | int] | None = None):
-        if num_vars < 1:
-            raise ValueError("a polynomial needs at least one variable")
+        # bool is an int subclass, but True is not a variable count
+        if type(num_vars) is not int or num_vars < 1:
+            raise ValueError(f"variable count {num_vars!r} is not an int >= 1")
         clean: dict[Exponents, Fraction] = {}
         for exponents, coeff in (terms or {}).items():
             key = tuple(exponents)
@@ -55,10 +57,6 @@ class MultiPoly:
                 clean[key] = coeff
         self.num_vars = num_vars
         self.terms = clean
-
-    @classmethod
-    def constant(cls, value: Fraction | int, num_vars: int) -> "MultiPoly":
-        return cls(num_vars, {(0,) * num_vars: value})
 
     @property
     def degree(self) -> int:
@@ -81,7 +79,7 @@ class MultiPoly:
 
     def evaluate(self, values: Sequence):
         """Evaluate at a point of numbers, such as ints and Fractions.
-        Exact, and a ring homomorphism.  Each monomial is formed first, in
+        Exact, and multiplicative.  Each monomial is formed first, in
         ints at an integer point, and meets its coefficient once."""
         if len(values) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(values)}")
@@ -106,46 +104,14 @@ class MultiPoly:
                    and len(coeffs) == orderings // prod(map(factorial, Counter(key).values()))
                    for key, coeffs in orbits.items())
 
-    def _coerced(self, other) -> "MultiPoly | None":
-        if isinstance(other, MultiPoly):
-            if other.num_vars != self.num_vars:
-                raise ValueError(
-                    f"mixed polynomials in {self.num_vars} and {other.num_vars} variables")
-            return other
-        if type(other) is int or isinstance(other, Fraction):
-            return MultiPoly.constant(other, self.num_vars)
-        return None
-
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for exponents, coeff in other.terms.items():
-            terms[exponents] = terms.get(exponents, Fraction(0)) + coeff
-        return MultiPoly(self.num_vars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
+    # No production code multiplies polynomials.  The product stays because the
+    # benchmark's traced run names it, and it must resolve until that run stops
+    # tracing it.
     def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
+        if not isinstance(other, MultiPoly):
             return NotImplemented
+        if other.num_vars != self.num_vars:
+            raise ValueError(f"mixed polynomials in {self.num_vars} and {other.num_vars} variables")
         terms: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -153,14 +119,12 @@ class MultiPoly:
                 terms[key] = terms.get(key, Fraction(0)) + c1 * c2
         return MultiPoly(self.num_vars, terms)
 
-    __rmul__ = __mul__
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if type(other) is int or isinstance(other, Fraction):
-            other = MultiPoly.constant(other, self.num_vars)
+            other = MultiPoly(self.num_vars, {(0,) * self.num_vars: other})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms

@@ -1,20 +1,17 @@
 """Truncated formal power series with exact coefficients.
 
 A series stores coefficients for h^0 .. h^N inclusive, N being the
-truncation order.  A coefficient is a ``Fraction`` or a ``MultiPoly`` in the
-degree variables; ``int`` input is read as a ``Fraction``.  A series turns
-polynomial as soon as a polynomial enters it, and a rational coefficient in
-such a series stands for a constant polynomial.  Arithmetic truncates to the
-smaller operand order; inversion requires a nonzero rational constant term
-(every series inverted here is a rational unit, poles having been cancelled
-analytically upstream).
+truncation order.  A coefficient is a ``Fraction``; ``int`` input is read as
+one.  Arithmetic truncates to the smaller operand order; inversion requires
+a nonzero constant term (every series inverted here is a unit, poles having
+been cancelled analytically upstream).
 
 No production code calls this module: ``charclass`` computes the same
-pairings by power sums.  It stays as the tests' independent oracle, since
-``_integrand`` reaches the characteristic number by truncated series
-arithmetic that shares no code with that route, and because the benchmark's
-traced run names ``PowerSeries`` methods, which must keep resolving until
-the benchmark stops tracing them.
+pairings by a Koszul sum or by power sums.  It stays as the tests' oracle
+for the numbers at given degrees, since ``_integrand`` reaches them by
+truncated series arithmetic that shares no code with either route, and
+because the benchmark's traced run names ``PowerSeries`` methods, which must
+keep resolving until the benchmark stops tracing them.
 """
 
 from __future__ import annotations
@@ -23,15 +20,11 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
 
-from .rings import MultiPoly
 
-Coefficient = Fraction | MultiPoly
-
-
-def _coefficient(value) -> Coefficient:
+def _coefficient(value) -> Fraction:
     """Check an exact coefficient; ints become Fractions.  ``bool`` is
     rejected although it is an int subclass."""
-    if isinstance(value, (Fraction, MultiPoly)):
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
@@ -47,7 +40,7 @@ class PowerSeries:
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Coefficient, ...]
+    coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Sequence):
         if not coeffs:
@@ -64,7 +57,7 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, k: int) -> Coefficient:
+    def __getitem__(self, k: int) -> Fraction:
         """Coefficient of h^k; indices beyond the truncation order are an
         error, never a silent zero."""
         if not 0 <= k <= self.order:
@@ -118,13 +111,11 @@ class PowerSeries:
         """Series g with self*g = 1 up to the truncation order.
 
         Term-by-term recurrence g_k = -(1/f_0) * sum_{j=1..k} f_j g_{k-j};
-        only the constant term is ever divided by, and it must be a nonzero
-        rational.
+        only the constant term is ever divided by, and it must be nonzero.
         """
         f0 = self.coeffs[0]
-        if not isinstance(f0, Fraction) or not f0:
-            raise ZeroDivisionError(
-                f"constant term {f0} is not a nonzero rational; series is not invertible")
+        if not f0:
+            raise ZeroDivisionError("constant term is zero; series is not invertible")
         inv0 = 1 / f0
         out = [inv0]
         for k in range(1, self.order + 1):
@@ -204,8 +195,7 @@ def _pole_free_a_hat(m: int, scalars: Sequence) -> PowerSeries:
     """S(h)^{-(m+r+1)} * prod_j S(a_j h) at order m, S(h) = sinh(h/2)/(h/2).
 
     Equals a_1...a_r times the A-hat class with its h-poles cancelled; the
-    degrees enter only through argument scaling, so they may be rationals or
-    polynomial variables, while the power of S stays a rational series.
+    degrees enter only through argument scaling.
     """
     s = sinhc_half_series(m)
     series = s ** -(m + len(scalars) + 1)
@@ -226,5 +216,7 @@ def _half_tangent_character(m: int, scalars: Sequence) -> PowerSeries:
 def _integrand(m: int, scalars: Sequence) -> PowerSeries:
     """The series whose h^m coefficient, times 2*a_1...a_r, is the
     characteristic number of the complete intersection of degrees
-    ``scalars``: the tests' oracle for both routes of ``charclass``."""
+    ``scalars``: the tests' oracle for both routes of ``charclass`` at
+    given degrees.  The polynomial in the degrees is checked instead
+    against values of the Koszul sum."""
     return _pole_free_a_hat(m, scalars) * _half_tangent_character(m, scalars)

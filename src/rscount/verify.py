@@ -85,7 +85,7 @@ def symmetric_poly(m: int, r: int) -> list[tuple[str, bool]]:
     three integer points.  Refused past MAX_ESTIMATED_SECONDS before any work."""
     _require_int(m, "m")
     _require_int(r, "r")
-    _require_budget(_symmetric_poly_seconds(m, r), f"symmetric_poly({m}, {r})")
+    _require_budget(_symmetric_poly_seconds(m, r), "symmetric_poly at this m and r")
     poly = char_number_polynomial(m, r)
     if m % 2:
         return [("identically zero (odd m)", not poly)]

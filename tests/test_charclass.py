@@ -369,7 +369,10 @@ class TestBudgets:
         pytest.param(10**400, 1, id="10^400-1"),
         # priced at 2^64 expanded terms: their count is past any float
         (100, 10**9), pytest.param(40, 10**40, id="40-10^40"),
-        pytest.param(2, 10**400, id="2-10^400")])
+        pytest.param(2, 10**400, id="2-10^400"),
+        # past the digits str() converts, which the refusal must not show
+        pytest.param(35, 10**10000, id="35-10^10000"),
+        pytest.param(10**5000, 1, id="10^5000-1")])
     def test_polynomials_past_the_budget_are_refused(self, m, r, monkeypatch):
         def fail(*args):
             raise AssertionError("the recurrence ran past the budget")
@@ -443,6 +446,53 @@ class TestPowerSumPieces:
                 assert set(orderings) == set(permutations(parts))
 
 
+def solved(rows, values):
+    """The solution c of the square system sum_j rows[i][j] c_j = values[i],
+    by Gaussian elimination over Fraction."""
+    n = len(rows)
+    system = [[F(x) for x in row] + [value] for row, value in zip(rows, values)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if system[i][col])
+        system[col], system[pivot] = system[pivot], system[col]
+        for row in system[col + 1:]:
+            factor = row[col] / system[col][col]
+            if factor:
+                row[col:] = [x - factor * y for x, y in zip(row[col:], system[col][col:])]
+    solution = [F(0)] * n
+    for i in reversed(range(n)):
+        known = sum(system[i][j] * solution[j] for j in range(i + 1, n))
+        solution[i] = (system[i][n] - known) / system[i][i]
+    return solution
+
+
+def koszul_polynomial(m, r):
+    """The characteristic number as a polynomial in a_1..a_r, interpolated
+    from values of the Koszul sum, which shares no code with the power sums.
+
+    For even m it is P(a) = 2 a_1...a_r sum_mu c_mu m_mu(a_1^2, ..., a_r^2),
+    over the partitions mu of 0..m/2 into at most r parts.  Each mu gives
+    one point: its ascending part vector v, padded with zeros to r entries,
+    sets a_i = v_i + 1 + i.  Dividing the values by 2 a_1...a_r leaves a
+    square system in the c_mu; each c_mu, doubled, is the coefficient of the
+    exponent vectors 2 mu + 1.  Odd m gives the zero polynomial."""
+    if m % 2:
+        return MultiPoly(r)
+    half = m // 2
+    vectors = [(0,) * (r - size) + parts for size in range(r + 1)
+               for parts in combinations_with_replacement(range(1, half + 1), size)
+               if sum(parts) <= half]
+    orbits = [set(permutations(v)) for v in vectors]
+    rows, values = [], []
+    for v in vectors:
+        a = [v_i + 1 + i for i, v_i in enumerate(v, 1)]
+        rows.append([sum(prod(a_i ** (2 * e) for a_i, e in zip(a, exponents))
+                         for exponents in orbit) for orbit in orbits])
+        values.append(F(_riemann_roch_numbers(CompleteIntersection(m, a))[0]) / (2 * prod(a)))
+    return MultiPoly(r, {tuple(2 * e + 1 for e in exponents): 2 * c
+                         for c, orbit in zip(solved(rows, values), orbits)
+                         for exponents in orbit})
+
+
 class TestCharNumberPolynomial:
     def test_hypersurface_surface_polynomial(self):
         expected = MultiPoly(1, {(3,): F(-5, 6), (1,): F(10, 3)})
@@ -482,14 +532,22 @@ class TestCharNumberPolynomial:
             ci = CompleteIntersection(4, degrees)
             assert poly.evaluate([F(a) for a in degrees]) == char_number(ci)
 
-    @pytest.mark.parametrize("r, max_m", [(1, 21), (2, 21), (3, 19), (4, 15), (5, 11), (6, 9)])
-    def test_equals_the_series_oracle(self, r, max_m):
-        # every (m, r) of the benchmark's symbolic grid, odd m included
-        variables = [MultiPoly(r, {tuple(int(j == i) for j in range(r)): 1})
-                     for i in range(r)]
+    @pytest.mark.parametrize("r, max_m", [(1, 21), (2, 21), (3, 19), (4, 15), (5, 11), (6, 9),
+                                          (7, 8), (8, 6)])
+    def test_equals_the_koszul_oracle(self, r, max_m):
+        # every (m, r) of the benchmark's symbolic grid, odd m included, and r = 7, 8
         for m in range(1, max_m + 1):
-            oracle = 2 * prod(variables) * _integrand(m, variables)[m]
-            assert char_number_polynomial(m, r) == oracle
+            assert char_number_polynomial(m, r) == koszul_polynomial(m, r)
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["recoefficient", "drop"])
+    def test_the_koszul_oracle_comparison_can_fail(self, drop):
+        # one member of the orbit of (7, 1, 1), re-coefficiented or dropped
+        terms = dict(char_number_polynomial(6, 3).terms)
+        if drop:
+            del terms[(7, 1, 1)]
+        else:
+            terms[(7, 1, 1)] += 1
+        assert MultiPoly(3, terms) != koszul_polynomial(6, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 10), st.lists(st.integers(1, 12), min_size=1, max_size=8))

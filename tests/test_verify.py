@@ -44,6 +44,9 @@ def test_hypersurface_poly_is_zero_for_odd_m():
     lambda: verify.hypersurface_poly(0),
     lambda: verify.symmetric_poly(2, 0),
     lambda: verify.symmetric_poly(0, 2),
+    # past the budget, with arguments past the digits str() converts
+    lambda: verify.symmetric_poly(35, 10**10000),
+    lambda: verify.hypersurface_poly(10**5000),
 ])
 def test_arguments_outside_the_domain_are_rejected(call):
     with pytest.raises(InvalidInputError):
