@@ -69,11 +69,12 @@ from operator import itemgetter
 
 from .rings import MultiPoly
 
-# Largest complex dimension a CompleteIntersection accepts.  At the limit a
-# cold `compute --complex-dim M --degrees M+4` takes about 0.5 s on a 2-vCPU
-# Xeon, most of it in the Koszul sum's math.comb calls, and prints numbers
-# of about 48000 digits.  Larger degrees make larger numbers, and more
-# degrees more of them, which MAX_ESTIMATED_SECONDS holds.
+# Largest complex dimension a CompleteIntersection accepts, and largest m and
+# r of char_number_polynomial.  At the limit a cold `compute --complex-dim M
+# --degrees M+4` takes about 0.5 s on a 2-vCPU Xeon, most of it in the Koszul
+# sum's math.comb calls, and prints numbers of about 48000 digits.  Larger
+# degrees make larger numbers, and more degrees more of them, which
+# MAX_ESTIMATED_SECONDS holds.
 MAX_COMPLEX_DIM = 80000
 
 # The cost model: each route's time in seconds in process, estimated from its
@@ -86,16 +87,14 @@ MAX_COMPLEX_DIM = 80000
 # - Power sums: (m/2)^2 steps, each _POWER_STEP_S plus _POWER_STEP_BIT_S * m
 #   * the bits of the largest degree, as their rationals grow with both.
 # - The polynomial: the same steps on each of its keys (_partition_count), at
-#   _KEY_STEP_S + _KEY_STEP_ORDER_S * m + _KEY_STEP_BIT_S * the bits of m+r+1,
-#   whose powers its coefficients carry (at odd m = 21..35 and r = 10^4000 a
-#   step took 1.35 to 1.57 ns more per bit), and _TERM_S per expanded term,
-#   times _term_length(r).
+#   _KEY_STEP_S + _KEY_STEP_ORDER_S * m, and _TERM_S per expanded term, times
+#   _term_length(r).
 # Over even m = 2..120 and r = 4..12 distinct powers of two, spin and
 # non-spin, the cheaper estimate's route took 3.8% longer in all than the
 # faster route, where 3(m+2) sums, the earlier rule, took 28.5% longer.
 _BINOMIAL_S, _BINOMIAL_BIT_S = 0.75e-6, 20e-12
 _POWER_STEP_S, _POWER_STEP_BIT_S = 20e-6, 7e-9
-_KEY_STEP_S, _KEY_STEP_ORDER_S, _KEY_STEP_BIT_S, _TERM_S = 1.5e-6, 28e-9, 1.6e-9, 4e-6
+_KEY_STEP_S, _KEY_STEP_ORDER_S, _TERM_S = 1.5e-6, 28e-9, 4e-6
 
 # Largest estimate of the cheaper route, for the numbers and the polynomial;
 # past it the input is refused before any binomial or power sum is computed.
@@ -466,25 +465,23 @@ def _orderings(parts: list[int]):
 
 
 def _polynomial_seconds(m: int, r: int) -> float:
-    """Estimated time of char_number_polynomial(m, r).  Past the budget on
-    its m/2 + 1 one-part keys alone, it stops there, before counting the
-    keys takes long."""
-    m = min(m, 2**64)  # any larger m is as far past the budget, in a float's range
+    """Estimated time of char_number_polynomial(m, r), m and r at most
+    MAX_COMPLEX_DIM.  Past the budget on its m/2 + 1 one-part keys alone, it
+    stops there, before counting the keys takes long."""
     half = m // 2
-    steps = half**2 * (_KEY_STEP_S + _KEY_STEP_ORDER_S * m
-                       + _KEY_STEP_BIT_S * (m + r + 1).bit_length())
+    steps = half**2 * (_KEY_STEP_S + _KEY_STEP_ORDER_S * m)
     if steps * (half + 1) > MAX_ESTIMATED_SECONDS:
         return steps * (half + 1)
-    # any more expanded terms are as far past the budget, in a float's range
+    # past here m/2 <= 69, where C(m/2 + MAX_COMPLEX_DIM, m/2) is about 10^240;
+    # faster key steps would reach m/2 = 92, where it passes a float's 10^308
     terms = 0 if m % 2 else min(comb(half + r, half), 2**64)
     return steps * _partition_count(half, r) + _TERM_S * _term_length(r) * terms
 
 
 def _term_length(r: int) -> float:
     """The price of an expanded term, an r-tuple, relative to the terms of
-    the fit at r <= 8: r/8 past it, and any r past 2^64 is as far past the
-    budget, in a float's range."""
-    return max(1, min(r, 2**64) / 8)
+    the fit at r <= 8: r/8 past it."""
+    return max(1, r / 8)
 
 
 def _partition_count(total: int, parts: int) -> int:
@@ -508,11 +505,12 @@ def char_number_polynomial(m: int, r: int) -> MultiPoly:
     coefficient.  For even m this is
     symmetric of degree m+1 in each a_i; for odd m it is identically zero.
 
-    Raises InvalidInputError when the cost model's estimate is past
-    MAX_ESTIMATED_SECONDS, before the recurrence runs.
+    m and r run from 1 to MAX_COMPLEX_DIM.  Raises InvalidInputError when the
+    cost model's estimate is past MAX_ESTIMATED_SECONDS, before the
+    recurrence runs.
     """
-    _require_int(m, "dimension m")
-    _require_int(r, "codimension r")
+    _require_int(m, "dimension m", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
+    _require_int(r, "codimension r", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
     _require_budget(_polynomial_seconds(m, r), "char_number_polynomial at this m and r")
 
     def times_y(k: int, combination: dict) -> dict:

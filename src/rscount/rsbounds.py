@@ -224,7 +224,22 @@ def _hypersurface_search(m: int, threshold: int) -> tuple[int, tuple[int, int, i
 
 def exceeds_torus(m: int) -> bool:
     """Whether the Calabi-Yau hypersurface bound beats the flat-torus count
-    in the same real dimension 2m.  True for every even m >= 2 (up to
-    MAX_COMPLEX_DIM)."""
+    in the same real dimension 2m, for even m up to MAX_COMPLEX_DIM.  Both
+    sides are computed, as a check, though it holds for every even m >= 2:
+
+    The bound is 2 C(2m+3, m+1) + 2 - 2(m+2)^2 - 2^{m/2}, the count
+    (2m-1) 2^m, and at m = 2 they are 38 > 12.  For even m >= 4:
+    (i) C(2k, k) >= 4^k/(2k) for k >= 1, by induction on k, as
+        C(2k+2, k+1) = C(2k, k) 2(2k+1)/(k+1) and 2k+1 >= 2k; and
+        C(2m+3, m+1) >= C(2m+2, m+1), so 2 C(2m+3, m+1) >= 4^{m+1}/(m+1).
+    (ii) 2(m+2)^2 + 2^{m/2} <= (m+1) 2^m.
+    (iii) 4 * 2^m > 3m(m+1).
+    (ii) and (iii) hold at m = 4 (76 <= 80, 64 > 60).  From m to m+2 their
+    smaller sides grow at most 2x and 2.1x, as (m+4)^2 <= 2(m+2)^2 and
+    (m+2)(m+3) <= 2.1 m(m+1), and their larger sides at least 4x, so both
+    hold for every even m >= 4.  By (i) and (ii), the bound is at least
+    4^{m+1}/(m+1) + 2 - (m+1) 2^m, and by (iii) 4^{m+1}/(m+1) > 3m 2^m,
+    so the bound is more than (2m-1) 2^m + 2, which exceeds the count.
+    """
     _require_int(m, "m", 2, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM", even=True)
     return cy_hypersurface_bound_closed_form(m) > torus_rs_dimension(2 * m)

@@ -1,16 +1,17 @@
 """Verification suites for the paper's identities and inequalities.  Each
 returns its checks as (name, passed) pairs, with any values it reports, and
 raises InvalidInputError for arguments outside its domain or past its input
-budget: MAX_M, or for the polynomial suites MAX_ESTIMATED_SECONDS."""
+budget: MAX_M, or for the polynomial suites MAX_COMPLEX_DIM and
+MAX_ESTIMATED_SECONDS."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
 
-from .charclass import (MAX_ESTIMATED_SECONDS, CompleteIntersection, _koszul_seconds_per_sum,
-                        _polynomial_seconds, _require_budget, _require_int,
-                        _riemann_roch_numbers, _term_length, char_number_polynomial)
+from .charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS, CompleteIntersection,
+                        _koszul_seconds_per_sum, _polynomial_seconds, _require_budget,
+                        _require_int, _riemann_roch_numbers, _term_length, char_number_polynomial)
 from .rings import MultiPoly
 from .rsbounds import (cy_hypersurface_bound_closed_form, exceeds_torus,
                        hypersurface_char_number_closed_form, rs_lower_bound)
@@ -46,7 +47,7 @@ def torus_inequality(max_m: int) -> list[tuple[str, bool]]:
 def hypersurface_poly(m: int) -> tuple[int, Fraction, list[tuple[str, bool]]]:
     """Degree and a^{m+1} coefficient of the r = 1 polynomial, and checks:
     zero for odd m, else degree m+1 and that coefficient in closed form."""
-    _require_int(m, "m")
+    _require_int(m, "m", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
     poly = char_number_polynomial(m, 1)
     leading = poly.coefficient((m + 1,))
     if m % 2:
@@ -69,7 +70,8 @@ def _symmetric_poly_seconds(m: int, r: int) -> float:
     length, and the Koszul sum at each point, whose signed subset sums lie in
     0..a_1 + ... + a_r."""
     seconds = _polynomial_seconds(m, r)
-    # a huge m's or r's term count passes a float, and its points would be r-tuples
+    # this keeps the term count below a float's 10^308: past here m/2 <= 69, where
+    # C(m/2 + MAX_COMPLEX_DIM, m/2) is about 10^240
     if m % 2 or seconds > MAX_ESTIMATED_SECONDS:
         return seconds
     return (seconds + (r > 1) * _polynomial_seconds(m, 1)
@@ -82,9 +84,10 @@ def symmetric_poly(m: int, r: int) -> list[tuple[str, bool]]:
     """Checks on the polynomial in a_1..a_r: zero for odd m, else symmetric,
     of degree m+1 in each a_i, the r = 1 polynomial at (a, 1, ..., 1), and
     the Koszul sum, over every signed subset sum whatever the term limit, at
-    three integer points.  Refused past MAX_ESTIMATED_SECONDS before any work."""
-    _require_int(m, "m")
-    _require_int(r, "r")
+    three integer points.  m and r run from 1 to MAX_COMPLEX_DIM; refused
+    past MAX_ESTIMATED_SECONDS before any work."""
+    _require_int(m, "m", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
+    _require_int(r, "r", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
     _require_budget(_symmetric_poly_seconds(m, r), "symmetric_poly at this m and r")
     poly = char_number_polynomial(m, r)
     if m % 2:

@@ -9,14 +9,14 @@ integrand.
 import pickle
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, prod
+from math import comb, factorial, isfinite, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rscount import charclass, verify
-from rscount.charclass import (MAX_ESTIMATED_SECONDS, CompleteIntersection,
+from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS, CompleteIntersection,
                                CurvatureClass, InvalidInputError,
                                _bernoulli_ratios, _koszul_coefficients,
                                _koszul_seconds_per_sum, _number_bits,
@@ -243,6 +243,7 @@ class TestBudgets:
     power sum is computed."""
 
     BUDGET = f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}"
+    DOMAIN = f"MAX_COMPLEX_DIM = {MAX_COMPLEX_DIM}"
 
     def test_odd_m_runs_neither_route(self, monkeypatch):
         def fail(*args):
@@ -362,23 +363,31 @@ class TestBudgets:
         (200, 1),       # 7.5 s in process
         (30, 8),        # 2.0 s, 490314 terms
         (4, 600), (2, 3000),  # r-tuples: ran 13 s and 1.2 s
-        # odd m: no term, but coefficients of (m+r+1)^{m/2}, 7 s in process
+        # past MAX_COMPLEX_DIM: the domain refuses them before they are priced
+        (MAX_COMPLEX_DIM + 1, 1), (35, MAX_COMPLEX_DIM + 1),
+        (10**9, 1), (2, 10**9), (100, 10**9), pytest.param(40, 10**40, id="40-10^40"),
+        pytest.param(10**400, 1, id="10^400-1"), pytest.param(2, 10**400, id="2-10^400"),
         pytest.param(35, 10**4000, id="35-10^4000"),
-        (10**9, 1), (2, 10**9),
-        # priced as 2^64: its own estimate is past any float
-        pytest.param(10**400, 1, id="10^400-1"),
-        # priced at 2^64 expanded terms: their count is past any float
-        (100, 10**9), pytest.param(40, 10**40, id="40-10^40"),
-        pytest.param(2, 10**400, id="2-10^400"),
         # past the digits str() converts, which the refusal must not show
         pytest.param(35, 10**10000, id="35-10^10000"),
         pytest.param(10**5000, 1, id="10^5000-1")])
     def test_polynomials_past_the_budget_are_refused(self, m, r, monkeypatch):
         def fail(*args):
-            raise AssertionError("the recurrence ran past the budget")
+            raise AssertionError("the model or the recurrence ran past the budget")
         monkeypatch.setattr(charclass, "_power_sum_pairings", fail)
-        with pytest.raises(InvalidInputError, match=self.BUDGET):
+        past_domain = max(m, r) > MAX_COMPLEX_DIM
+        if past_domain:
+            monkeypatch.setattr(charclass, "_polynomial_seconds", fail)
+        with pytest.raises(InvalidInputError, match=self.DOMAIN if past_domain else self.BUDGET):
             char_number_polynomial(m, r)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 138, 139, 212, MAX_COMPLEX_DIM])
+    def test_estimates_at_the_corners_of_the_domain(self, m):
+        # pins the term-count clamp of _polynomial_seconds and the early return
+        # of verify's estimate, which keep every estimate inside a float
+        for r in (1, 2, 3, 138, 139, 212, MAX_COMPLEX_DIM):
+            for seconds in (_polynomial_seconds(m, r), verify._symmetric_poly_seconds(m, r)):
+                assert isinstance(seconds, float) and isfinite(seconds) and seconds >= 0, (m, r)
 
     def test_partition_count_counts_the_keys(self):
         # one key of the recurrence per symmetric orbit of the polynomial's terms
@@ -507,6 +516,14 @@ class TestCharNumberPolynomial:
         for m in (1, 3, 5, 7):
             assert not char_number_polynomial(m, 1)
         assert not char_number_polynomial(3, 2)
+
+    @pytest.mark.parametrize("m", [3, 35])
+    def test_odd_dimension_gives_zero_at_the_largest_r(self, m):
+        # (35, MAX_COMPLEX_DIM) is estimated at 0.87 s; the zero polynomial's
+        # repr shows its variable count
+        poly = char_number_polynomial(m, MAX_COMPLEX_DIM)
+        assert poly == MultiPoly(MAX_COMPLEX_DIM)
+        assert repr(poly) == "MultiPoly(80000, {})"
 
     def test_codimension_two_specializes_to_hypersurface_values(self):
         poly = char_number_polynomial(2, 2)

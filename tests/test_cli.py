@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
-from conftest import golden, run_cli
+from conftest import golden, polynomial_suite_edge, run_cli
 
 from rscount import charclass, cli, rsbounds, series, verify
 from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS,
@@ -378,21 +378,18 @@ class TestInputBudgets:
         assert out == ""
         assert f"{budget} = {largest}" in err
 
-    @pytest.mark.parametrize("argv, estimate, old_cap", [
-        (("hypersurface-poly",), lambda m: charclass._polynomial_seconds(m, 1), 130),
-        (("symmetric-poly", "--r", "1"), lambda m: verify._symmetric_poly_seconds(m, 1), 20),
-        (("symmetric-poly", "--r", "2"), lambda m: verify._symmetric_poly_seconds(m, 2), 20),
-        (("symmetric-poly", "--r", "8"), lambda m: verify._symmetric_poly_seconds(m, 8), 20),
-        (("symmetric-poly", "--m", "2"), lambda r: verify._symmetric_poly_seconds(2, r), 8),
-        (("symmetric-poly", "--m", "6"), lambda r: verify._symmetric_poly_seconds(6, r), 8),
+    @pytest.mark.parametrize("argv, old_cap", [
+        (("hypersurface-poly",), 130),
+        (("symmetric-poly", "--r", "1"), 20),
+        (("symmetric-poly", "--r", "2"), 20),
+        (("symmetric-poly", "--r", "8"), 20),
+        (("symmetric-poly", "--m", "2"), 8),
+        (("symmetric-poly", "--m", "6"), 8),
     ], ids=["hypersurface-poly", "r=1", "r=2", "r=8", "m=2", "m=6"])
-    def test_polynomial_suite_edges(self, argv, estimate, old_cap, capsys):
+    def test_polynomial_suite_edges(self, argv, old_cap, capsys):
         # the cost model sets each edge: every check passes at the largest even
         # m, or the largest r, it admits, and the next is refused before any work
-        walked, step = ("--r", 1) if "--m" in argv else ("--m", 2)
-        largest = step
-        while estimate(largest + step) <= MAX_ESTIMATED_SECONDS:
-            largest += step
+        walked, largest, step = polynomial_suite_edge(argv)
         assert largest >= old_cap  # every input the earlier hand-set caps admitted stays admitted
         assert cli.main(["verify", *argv, walked, str(largest)]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["allPass"] is True
@@ -401,28 +398,41 @@ class TestInputBudgets:
         assert out == ""
         assert f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}" in err
 
-    @pytest.mark.parametrize("argv, call", [
-        (("hypersurface-poly", "--m", "140"), lambda: verify.hypersurface_poly(140)),
-        (("symmetric-poly", "--m", "22", "--r", "8"), lambda: verify.symmetric_poly(22, 8)),
-        (("symmetric-poly", "--m", "72", "--r", "2"), lambda: verify.symmetric_poly(72, 2)),
-        # past any float: priced as 2^64, far past the budget
-        (("hypersurface-poly", "--m", str(10**400)), lambda: verify.hypersurface_poly(10**400)),
+    BUDGET = f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}"
+    DOMAIN = f"MAX_COMPLEX_DIM = {MAX_COMPLEX_DIM}"
+
+    @pytest.mark.parametrize("argv, call, budget", [
+        (("hypersurface-poly", "--m", "140"), lambda: verify.hypersurface_poly(140), BUDGET),
+        (("symmetric-poly", "--m", "22", "--r", "8"), lambda: verify.symmetric_poly(22, 8),
+         BUDGET),
+        (("symmetric-poly", "--m", "72", "--r", "2"), lambda: verify.symmetric_poly(72, 2),
+         BUDGET),
+        # past MAX_COMPLEX_DIM: the domain refuses them before they are priced
+        (("hypersurface-poly", "--m", str(MAX_COMPLEX_DIM + 1)),
+         lambda: verify.hypersurface_poly(MAX_COMPLEX_DIM + 1), DOMAIN),
+        (("symmetric-poly", "--m", "3", "--r", str(MAX_COMPLEX_DIM + 1)),
+         lambda: verify.symmetric_poly(3, MAX_COMPLEX_DIM + 1), DOMAIN),
+        (("hypersurface-poly", "--m", str(10**400)), lambda: verify.hypersurface_poly(10**400),
+         DOMAIN),
         (("symmetric-poly", "--m", str(10**400), "--r", "2"),
-         lambda: verify.symmetric_poly(10**400, 2)),
+         lambda: verify.symmetric_poly(10**400, 2), DOMAIN),
         (("symmetric-poly", "--m", "2", "--r", str(10**400)),
-         lambda: verify.symmetric_poly(2, 10**400)),
-        # odd m builds no term, but its recurrence carries powers of m+r+1
+         lambda: verify.symmetric_poly(2, 10**400), DOMAIN),
         (("symmetric-poly", "--m", "35", "--r", str(10**4000)),
-         lambda: verify.symmetric_poly(35, 10**4000)),
+         lambda: verify.symmetric_poly(35, 10**4000), DOMAIN),
     ], ids=["hypersurface-poly-140", "symmetric-poly-22-8", "symmetric-poly-72-2",
+            "hypersurface-poly-80001", "symmetric-poly-3-80001",
             "hypersurface-poly-10^400", "symmetric-poly-10^400-2", "symmetric-poly-2-10^400",
             "symmetric-poly-35-10^4000"])
-    def test_polynomial_suites_refuse_before_any_work(self, argv, call, monkeypatch, capsys):
+    def test_polynomial_suites_refuse_before_any_work(self, argv, call, budget, monkeypatch,
+                                                      capsys):
         def fail(*args):
             raise AssertionError("a power sum or binomial was computed past the budget")
         monkeypatch.setattr(charclass, "_power_sum_pairings", fail)
         monkeypatch.setattr(verify, "_riemann_roch_numbers", fail)
-        budget = f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}"
+        if budget == self.DOMAIN:
+            for module in (charclass, verify):
+                monkeypatch.setattr(module, "_polynomial_seconds", fail)
         assert cli.main(["verify", *argv]) == 1
         out, err = capsys.readouterr()
         assert out == ""

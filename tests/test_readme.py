@@ -1,14 +1,14 @@
 """README's examples must run: each ``rscount ...`` line of the shell block
 in its CLI section exits 0, and the Python block of its Library section
-gives the values its comments state.  The budgets its CLI section quotes
-are the library's."""
+gives the values its comments state.  The budgets and the polynomial
+suites' edges its CLI section quotes are the library's."""
 
 import importlib
 import re
 import shlex
 
 import pytest
-from conftest import REPO_ROOT, run_cli
+from conftest import REPO_ROOT, polynomial_suite_edge, run_cli
 
 
 def _section(title: str) -> str:
@@ -48,6 +48,23 @@ def test_budgets_quoted_in_the_cli_section_are_the_library_values():
                for name in re.findall(r"^([A-Z][A-Z_]*) =", (
                    REPO_ROOT / "src" / "rscount" / f"{module}.py").read_text(), re.MULTILINE)}
     assert {(module, name) for module, name, *_ in quoted} == defined
+
+
+def test_polynomial_suite_edges_quoted_in_the_cli_section_are_the_cost_models():
+    """hypersurface-poly's "largest even `--m` is N", and symmetric-poly's
+    "largest even `--m` is N at `--r R`, ..." and "largest `--r` is N at
+    `--m M`, ...", each against the edge the cost model admits."""
+    section = " ".join(_section("CLI").split())
+    hypersurface = re.search(r"`hypersurface-poly --m` has .*? largest even `--m` is (\d+)\.",
+                             section)
+    quoted = {("hypersurface-poly",): int(hypersurface.group(1))}
+    for walked, edges in re.findall(r"Its largest (?:even )?`(--[mr])` is (.*?)[.;]", section):
+        for largest, fixed, value in re.findall(r"(\d+) at `(--[mr]) (\d+)`", edges):
+            assert fixed != walked
+            quoted[("symmetric-poly", fixed, value)] = int(largest)
+    assert len(quoted) == 10
+    for argv, largest in quoted.items():
+        assert polynomial_suite_edge(argv)[1] == largest, argv
 
 
 def test_library_example_gives_its_commented_values(capsys):

@@ -381,3 +381,26 @@ class TestTorusComparison:
 
     def test_full_range(self):
         assert all(exceeds_torus(m) for m in range(2, 61, 2))
+
+    def test_proof_inequalities(self):
+        # the steps of exceeds_torus's proof, in integers
+        def sides(m):
+            """(smaller, larger) sides of steps (ii) and (iii)"""
+            return ((2 * (m + 2) ** 2 + 2 ** (m // 2), (m + 1) * 2**m),
+                    (3 * m * (m + 1), 4 * 2**m))
+        assert (cy_hypersurface_bound_closed_form(2), torus_rs_dimension(4)) == (38, 12)
+        for k in range(1, 402):
+            assert 2 * k * comb(2 * k, k) >= 4**k
+            assert (k + 1) * comb(2 * k + 2, k + 1) == 2 * (2 * k + 1) * comb(2 * k, k)
+        for m in range(4, 401, 2):
+            assert comb(2 * m + 3, m + 1) >= comb(2 * m + 2, m + 1)
+            assert (m + 1) * 2 * comb(2 * m + 3, m + 1) >= 4 ** (m + 1)
+            (ii, ii_larger), (iii, iii_larger) = sides(m)
+            assert ii <= ii_larger and iii < iii_larger
+            (ii_next, ii_larger_next), (iii_next, iii_larger_next) = sides(m + 2)
+            assert ii_next <= 2 * ii and ii_larger_next >= 4 * ii_larger
+            assert 10 * iii_next <= 21 * iii and iii_larger_next >= 4 * iii_larger
+            bound = cy_hypersurface_bound_closed_form(m)
+            assert (m + 1) * (bound - 2 + (m + 1) * 2**m) >= 4 ** (m + 1)
+            assert 4 ** (m + 1) > (m + 1) * 3 * m * 2**m
+            assert bound > (2 * m - 1) * 2**m + 2 > torus_rs_dimension(2 * m)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from conftest import golden
 
-from rscount import cli, verify
-from rscount.charclass import InvalidInputError, char_number_polynomial
+from rscount import charclass, cli, verify
+from rscount.charclass import MAX_COMPLEX_DIM, InvalidInputError, char_number_polynomial
 from rscount.rings import MultiPoly
 
 
@@ -21,7 +21,7 @@ def golden_checks(name):
     (verify.torus_inequality, (10,), "verify_torus_inequality_10.json"),
     (verify.symmetric_poly, (3, 2), "verify_symmetric_poly_3_2.json"),
     # odd m is zero at any r: the polynomial is priced and built with no term
-    (verify.symmetric_poly, (3, 10**400), "verify_symmetric_poly_3_2.json"),
+    (verify.symmetric_poly, (3, MAX_COMPLEX_DIM), "verify_symmetric_poly_3_2.json"),
 ])
 def test_suites_return_the_golden_checks(suite, args, name):
     assert suite(*args) == golden_checks(name)[1]
@@ -44,12 +44,27 @@ def test_hypersurface_poly_is_zero_for_odd_m():
     lambda: verify.hypersurface_poly(0),
     lambda: verify.symmetric_poly(2, 0),
     lambda: verify.symmetric_poly(0, 2),
-    # past the budget, with arguments past the digits str() converts
+    # past MAX_COMPLEX_DIM, and past the digits str() converts
     lambda: verify.symmetric_poly(35, 10**10000),
     lambda: verify.hypersurface_poly(10**5000),
 ])
 def test_arguments_outside_the_domain_are_rejected(call):
     with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify.hypersurface_poly(MAX_COMPLEX_DIM + 1),
+    lambda: verify.symmetric_poly(MAX_COMPLEX_DIM + 1, 1),
+    lambda: verify.symmetric_poly(3, MAX_COMPLEX_DIM + 1),
+], ids=["hypersurface-80001", "symmetric-80001-1", "symmetric-3-80001"])
+def test_polynomial_suites_refuse_m_and_r_past_max_complex_dim(call, monkeypatch):
+    def fail(*args):
+        raise AssertionError("priced or computed past MAX_COMPLEX_DIM")
+    for module in (charclass, verify):
+        monkeypatch.setattr(module, "_polynomial_seconds", fail)
+    monkeypatch.setattr(charclass, "_power_sum_pairings", fail)
+    with pytest.raises(InvalidInputError, match=f"MAX_COMPLEX_DIM = {MAX_COMPLEX_DIM}"):
         call()
 
 
