@@ -87,8 +87,8 @@ MAX_COMPLEX_DIM = 80000
 # - Power sums: (m/2)^2 steps, each _POWER_STEP_S plus _POWER_STEP_BIT_S * m
 #   * the bits of the largest degree, as their rationals grow with both.
 # - The polynomial: the same steps on each of its keys (_partition_count), at
-#   _KEY_STEP_S + _KEY_STEP_ORDER_S * m, and _TERM_S per expanded term, times
-#   _term_length(r).
+#   _KEY_STEP_S + _KEY_STEP_ORDER_S * m, and _TERM_S per expanded term
+#   (_expanded_terms).
 # Over even m = 2..120 and r = 4..12 distinct powers of two, spin and
 # non-spin, the cheaper estimate's route took 3.8% longer in all than the
 # faster route, where 3(m+2) sums, the earlier rule, took 28.5% longer.
@@ -472,16 +472,16 @@ def _polynomial_seconds(m: int, r: int) -> float:
     steps = half**2 * (_KEY_STEP_S + _KEY_STEP_ORDER_S * m)
     if steps * (half + 1) > MAX_ESTIMATED_SECONDS:
         return steps * (half + 1)
-    # past here m/2 <= 69, where C(m/2 + MAX_COMPLEX_DIM, m/2) is about 10^240;
-    # faster key steps would reach m/2 = 92, where it passes a float's 10^308
-    terms = 0 if m % 2 else min(comb(half + r, half), 2**64)
-    return steps * _partition_count(half, r) + _TERM_S * _term_length(r) * terms
+    return steps * _partition_count(half, r) + _TERM_S * _expanded_terms(m, r)
 
 
-def _term_length(r: int) -> float:
-    """The price of an expanded term, an r-tuple, relative to the terms of
-    the fit at r <= 8: r/8 past it."""
-    return max(1, r / 8)
+def _expanded_terms(m: int, r: int) -> float:
+    """The polynomial's expanded terms, C(m/2 + r, r) for even m and none for
+    odd m, each an r-tuple priced as r/8 terms of the fit at r <= 8 past it."""
+    # callers count them once the key steps fit the budget, where m/2 <= 69 and
+    # C(m/2 + MAX_COMPLEX_DIM, m/2) is about 10^240; faster key steps would
+    # reach m/2 = 92, where it passes a float's 10^308
+    return 0 if m % 2 else max(1, r / 8) * min(comb(m // 2 + r, m // 2), 2**64)
 
 
 def _partition_count(total: int, parts: int) -> int:

@@ -10,10 +10,9 @@ their product stays only for the benchmark's traced run.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 
 Exponents = tuple[int, ...]
 
@@ -67,15 +66,19 @@ class MultiPoly:
 
     def variable_degree(self, index: int) -> int:
         """Degree in the single variable ``index``; -1 for the zero polynomial."""
-        if not 0 <= index < self.num_vars:
-            raise ValueError(f"variable index {index} out of range for {self.num_vars} variables")
+        # bool is an int subclass, but True is not a variable index
+        if type(index) is not int or not 0 <= index < self.num_vars:
+            raise ValueError(f"variable index {index!r} is not an int in 0..{self.num_vars - 1}")
         if not self.terms:
             return -1
         return max(exponents[index] for exponents in self.terms)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        """Coefficient of the given monomial (0 if absent)."""
-        return self.terms.get(tuple(exponents), Fraction(0))
+        """Coefficient of the given monomial (0 if absent).  The exponent
+        vector is checked as the constructor checks it, on a one-term
+        polynomial."""
+        (key,) = MultiPoly(self.num_vars, {tuple(exponents): 1}).terms
+        return self.terms.get(key, Fraction(0))
 
     def evaluate(self, values: Sequence):
         """Evaluate at a point of numbers, such as ints and Fractions.
@@ -83,26 +86,17 @@ class MultiPoly:
         ints at an integer point, and meets its coefficient once."""
         if len(values) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(values)}")
-        total = Fraction(0)
-        for exponents, coeff in self.terms.items():
-            monomial = 1
-            for value, exponent in zip(values, exponents):
-                if exponent:
-                    monomial *= value**exponent
-            total += coeff * monomial
-        return total
+        return sum((coeff * prod(map(pow, values, exponents))
+                    for exponents, coeff in self.terms.items()), Fraction(0))
 
     def is_symmetric(self) -> bool:
-        """True iff invariant under every permutation of the variables: the
-        terms, grouped by their sorted exponent vector, make whole orbits,
-        each holding all r!/prod_v mult(v)! orderings under one coefficient."""
-        orbits: dict[Exponents, list[Fraction]] = {}
-        for exponents, coeff in self.terms.items():
-            orbits.setdefault(tuple(sorted(exponents)), []).append(coeff)
-        orderings = factorial(self.num_vars)
-        return all(len(set(coeffs)) == 1
-                   and len(coeffs) == orderings // prod(map(factorial, Counter(key).values()))
-                   for key, coeffs in orbits.items())
+        """True iff invariant under every permutation of the variables, that
+        is under the two that generate them: the cycle of all r variables
+        and the swap of a1 and a2.  Each maps every term to a term with the
+        same coefficient."""
+        terms = self.terms
+        return all(terms.get(e[1:] + e[:1]) == c and terms.get(e[1::-1] + e[2:]) == c
+                   for e, c in terms.items())
 
     # No production code multiplies polynomials.  The product stays because the
     # benchmark's traced run names it, and it must resolve until that run stops

@@ -148,7 +148,6 @@ def hypersurface_char_number_closed_form(m: int) -> int:
 def cy_hypersurface_bound_closed_form(m: int) -> int:
     """Closed-form Rarita-Schwinger bound for the Calabi-Yau hypersurface of
     degree m+2 in CP^{m+1}: 2*[C(2m+3, m+1) + 1 - (m+2)^2] - 2^{m/2}."""
-    _require_int(m, "m", 2, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM", even=True)
     return -hypersurface_char_number_closed_form(m) - 2 ** (m // 2)
 
 
@@ -241,5 +240,4 @@ def exceeds_torus(m: int) -> bool:
     4^{m+1}/(m+1) + 2 - (m+1) 2^m, and by (iii) 4^{m+1}/(m+1) > 3m 2^m,
     so the bound is more than (2m-1) 2^m + 2, which exceeds the count.
     """
-    _require_int(m, "m", 2, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM", even=True)
     return cy_hypersurface_bound_closed_form(m) > torus_rs_dimension(2 * m)

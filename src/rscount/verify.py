@@ -7,11 +7,12 @@ MAX_ESTIMATED_SECONDS."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS, CompleteIntersection,
-                        _koszul_seconds_per_sum, _polynomial_seconds, _require_budget,
-                        _require_int, _riemann_roch_numbers, _term_length, char_number_polynomial)
+                        _expanded_terms, _koszul_seconds_per_sum, _polynomial_seconds,
+                        _require_budget, _require_int, _riemann_roch_numbers,
+                        char_number_polynomial)
 from .rings import MultiPoly
 from .rsbounds import (cy_hypersurface_bound_closed_form, exceeds_torus,
                        hypersurface_char_number_closed_form, rs_lower_bound)
@@ -66,16 +67,13 @@ def _integer_points(m: int, r: int) -> list[CompleteIntersection]:
 
 def _symmetric_poly_seconds(m: int, r: int) -> float:
     """symmetric_poly's estimate: its polynomial, then for even m the r = 1 one if
-    r > 1, _SUITE_TERM_S for each of the C(m/2 + r, r) expanded terms by their
-    length, and the Koszul sum at each point, whose signed subset sums lie in
-    0..a_1 + ... + a_r."""
+    r > 1, _SUITE_TERM_S for each of the polynomial's expanded terms, and the
+    Koszul sum at each point, whose signed subset sums lie in 0..a_1 + ... + a_r."""
     seconds = _polynomial_seconds(m, r)
-    # this keeps the term count below a float's 10^308: past here m/2 <= 69, where
-    # C(m/2 + MAX_COMPLEX_DIM, m/2) is about 10^240
     if m % 2 or seconds > MAX_ESTIMATED_SECONDS:
         return seconds
     return (seconds + (r > 1) * _polynomial_seconds(m, 1)
-            + _SUITE_TERM_S * _term_length(r) * comb(m // 2 + r, r)
+            + _SUITE_TERM_S * _expanded_terms(m, r)
             + sum(_koszul_seconds_per_sum(ci) * (sum(ci.degrees) + 1)
                   for ci in _integer_points(m, r)))
 

@@ -151,6 +151,24 @@ class TestMultiPolyArithmetic:
         assert MultiPoly(2).degree == -1
         assert MultiPoly(2).variable_degree(0) == -1
 
+    @pytest.mark.parametrize("exponents", [
+        (1,), (1, 0, 0),          # one entry per variable
+        (False, 3), (2.5, 0),     # ints only
+        (-1, 0)])
+    def test_coefficient_checks_its_exponents_as_the_constructor_does(self, exponents):
+        p = MultiPoly(2, {(0, 3): 7})
+        with pytest.raises(ValueError):
+            MultiPoly(2, {exponents: 1})
+        with pytest.raises(ValueError):
+            p.coefficient(exponents)
+        assert p.coefficient([0, 3]) == 7 and p.coefficient((1, 0)) == 0
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, -1, 2])
+    def test_variable_degree_takes_an_int_index_of_a_variable(self, index):
+        # bool is an int subclass, but True is not a variable index
+        with pytest.raises(ValueError):
+            MultiPoly(2, {(3, 1): 1}).variable_degree(index)
+
     @pytest.mark.parametrize("terms", [
         {(2.5,): 1}, {(True,): 1},                  # exponents are ints only
         {(1,): 0.1}, {(1,): "1/3"}, {(1,): True}])  # coefficients ints or Fractions
@@ -218,6 +236,13 @@ class TestSymmetry:
         orbit = [(2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2)]
         assert not MultiPoly(3, dict.fromkeys(orbit, 1)).is_symmetric()
         assert MultiPoly(3, dict.fromkeys(orbit + [(0, 1, 2)], 1)).is_symmetric()
+
+    @pytest.mark.parametrize("terms", [
+        [(2, 1, 0), (0, 2, 1), (1, 0, 2)],  # invariant under the 3-cycle
+        [(1, 0, 1, 0), (0, 1, 0, 1)],       # invariant under the 4-cycle
+        [(1, 1, 0)]])                       # invariant under swapping a1 and a2
+    def test_invariance_under_one_generator_is_not_symmetry(self, terms):
+        assert not MultiPoly(len(terms[0]), dict.fromkeys(terms, 1)).is_symmetric()
 
     def test_an_orbit_with_two_coefficients_is_not_symmetric(self):
         assert not MultiPoly(2, {(2, 0): 1, (0, 2): 2, (1, 1): 5}).is_symmetric()
