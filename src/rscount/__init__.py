@@ -4,9 +4,11 @@ projective space, and the Rarita-Schwinger dimension bounds they imply.
 Everything is exact: the numbers come from a Riemann-Roch sum of binomials
 or, where a cost model prices it lower, like the characteristic polynomial,
 from a recurrence in the power sums of the degrees (``charclass``).  The truncated
-power series of ``rscount.series`` have no production caller; they stay as
-the tests' independent oracle for the numbers.  ``MultiPoly`` holds the
-polynomial: it is built from its terms and evaluated, and has no sum.
+power series of ``rscount.series`` have no production caller and share no
+code with the package; they stay as the tests' independent oracle for the
+numbers, with a product, inversion, powers and argument scaling only.
+``MultiPoly`` holds the polynomial: it is built from its terms and evaluated
+at exact points, and has no sum and no hash.
 """
 
 __version__ = "0.1.0"

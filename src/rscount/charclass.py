@@ -138,18 +138,21 @@ class CompleteIntersection(namedtuple("CompleteIntersection", "m degrees")):
     """Smooth complete intersection of hypersurfaces of the given degrees.
 
     ``m`` is the complex dimension, at most MAX_COMPLEX_DIM; with r degrees
-    the variety sits in CP^{m+r}.  Degrees are stored sorted ascending:
-    every characteristic quantity computed here is symmetric in them.
-    Degree-1 entries are allowed (a hyperplane cut re-embeds the same
-    manifold in lower codimension).  As a tuple it unpacks, indexes and
-    orders, and equals ``(m, degrees)``; ``_replace`` validates and sorts.
+    the variety sits in CP^{m+r}.  The degrees come as a list or a tuple of
+    ints and are stored as a tuple sorted ascending: every characteristic
+    quantity computed here is symmetric in them.  Degree-1 entries are
+    allowed (a hyperplane cut re-embeds the same manifold in lower
+    codimension).  As a tuple it unpacks, indexes and orders, and equals
+    ``(m, degrees)``; ``_replace`` validates and sorts.
     """
 
     __slots__ = ()
 
-    def __new__(cls, m: int, degrees: Sequence[int]):
+    def __new__(cls, m: int, degrees: tuple[int, ...] | list[int]):
         _require_int(m, "complex dimension", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
-        degrees = tuple(degrees)
+        if not isinstance(degrees, (list, tuple)):
+            raise InvalidInputError(
+                f"degrees must be a list or a tuple, not {type(degrees).__name__}")
         if not degrees:
             raise InvalidInputError("at least one degree is required")
         for a in degrees:

@@ -80,12 +80,16 @@ class MultiPoly:
         (key,) = MultiPoly(self.num_vars, {tuple(exponents): 1}).terms
         return self.terms.get(key, Fraction(0))
 
-    def evaluate(self, values: Sequence):
-        """Evaluate at a point of numbers, such as ints and Fractions.
-        Exact, and multiplicative.  Each monomial is formed first, in
-        ints at an integer point, and meets its coefficient once."""
+    def evaluate(self, values: Sequence) -> Fraction:
+        """Evaluate at a point of ints and Fractions.  Exact, and
+        multiplicative.  Each monomial is formed first, in ints at an
+        integer point, and meets its coefficient once."""
         if len(values) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} values, got {len(values)}")
+        # bool is an int subclass, but True is not a value
+        for value in values:
+            if type(value) is not int and not isinstance(value, Fraction):
+                raise ValueError(f"value {value!r} is not an int or a Fraction")
         return sum((coeff * prod(map(pow, values, exponents))
                     for exponents, coeff in self.terms.items()), Fraction(0))
 
@@ -122,9 +126,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.num_vars}, {self.terms!r})"

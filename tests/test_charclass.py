@@ -56,8 +56,13 @@ class TestCompleteIntersection:
             CompleteIntersection(2, (True, 3))
         with pytest.raises(InvalidInputError):
             CompleteIntersection(True, (4,))
+        # the degrees come as a list or a tuple, checked before each degree
+        for degrees in (4, None, b"\x04", {4}, (a for a in (4,))):
+            with pytest.raises(InvalidInputError):
+                CompleteIntersection(2, degrees)
+        assert CompleteIntersection(2, [4]) == K3
 
-    @pytest.mark.parametrize("fields", [{"m": 0}, {"degrees": ()}])
+    @pytest.mark.parametrize("fields", [{"m": 0}, {"degrees": ()}, {"degrees": 4}])
     def test_replace_validates(self, fields):
         with pytest.raises(InvalidInputError):
             K3._replace(**fields)

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, except on lines
 marked ``# noqa``: an import left behind by a deleted call is dead code.
-And ``rscount.charclass`` imports nothing from ``rscount.series``, the
-tests' oracle, so that the oracle shares no code with the production route.
+No other module imports ``rscount.series``, the tests' oracle, and it
+imports nothing from the package, so that the oracle shares no code with
+the production routes.
 No module imports ``dataclasses`` or ``typing``, and importing the CLI
 loads neither them nor what only one command needs, which keeps a cold
 call's start-up short."""
@@ -80,9 +81,15 @@ def test_finds_each_way_of_importing_a_module():
     assert "rscount.series" not in imported_paths("from .rings import MultiPoly\n")
 
 
-def test_charclass_shares_no_code_with_the_series_oracle():
-    source = (REPO_ROOT / "src" / "rscount" / "charclass.py").read_text()
-    assert "rscount.series" not in imported_paths(source)
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "series.py"],
+                         ids=lambda path: path.name)
+def test_shares_no_code_with_the_series_oracle(path):
+    assert "rscount.series" not in imported_paths(path.read_text())
+
+
+def test_the_series_oracle_imports_nothing_from_the_package():
+    paths = imported_paths((REPO_ROOT / "src" / "rscount" / "series.py").read_text())
+    assert not {path for path in paths if path.split(".")[0] == "rscount"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -217,6 +217,12 @@ class TestMultiPolyEvaluation:
         with pytest.raises(ValueError):
             MultiPoly(2, {(1, 0): 1}).evaluate([Fraction(1)])
 
+    # values are exact: no float enters a result, and True is not a value
+    @pytest.mark.parametrize("value", [0.5, True, "1", None])
+    def test_inexact_values_rejected(self, value):
+        with pytest.raises(ValueError):
+            MultiPoly(2, {(2, 0): 1, (0, 1): Fraction(1, 4)}).evaluate([Fraction(1), value])
+
 
 class TestSymmetry:
     def test_symmetric_examples(self):
