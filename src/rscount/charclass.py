@@ -27,11 +27,13 @@ the Koszul resolution gives as
 
 (Hirzebruch, Topological Methods in Algebraic Geometry).  Serre duality,
 chi(t0 + s) = (-1)^m chi(t0 - s), folds the first sum onto its positive
-shifts.  t0 is an integer on spin inputs and a half-integer otherwise.
-The sum has one term per distinct signed subset sum s, up to 2^r of them.
-A cost model prices it, at r+2 binomials per term, against the power sums
-below before either runs; the cheaper route runs, and an input whose cheaper
-estimate is past MAX_ESTIMATED_SECONDS is refused.
+shifts.  t0 is an integer on spin inputs and a half-integer otherwise, where
+the sum runs over 2^n n! times each binomial, n = m + r, and divides each
+number once, at the end.  The sum has one term per distinct signed subset
+sum s, up to 2^r of them.  A cost model prices it, at r+2 binomials per
+term, against the power sums below before either runs; the cheaper route
+runs, and an input whose cheaper estimate is past MAX_ESTIMATED_SECONDS is
+refused.
 
 The power-sum route serves those numbers and the polynomial
 ``char_number_polynomial``.  Pairing picks out the h^m coefficient times
@@ -80,7 +82,8 @@ MAX_COMPLEX_DIM = 80000
 # The cost model: each route's time in seconds in process, estimated from its
 # inputs before it runs; fitted on a 2-vCPU Xeon, CPython 3.11.7.
 # - The Koszul sum: r+2 binomials per signed subset sum, each priced as the
-#   largest, C(x, k), k = min(n, x-n) (_number_bits), at _BINOMIAL_S plus
+#   largest, C(x, k), k = min(n, x-n), or on non-spin inputs as the largest
+#   product of k = n odd factors (_number_bits), at _BINOMIAL_S plus
 #   _BINOMIAL_BIT_S * bits * k.  math.comb's time per bit*k measured 14 to
 #   47 ps from 5*10^4 bits on, where per bit^2 it spread from 0.3 to 20 ps;
 #   the low end serves, as most binomials of a sum are smaller than its largest.
@@ -215,60 +218,57 @@ def _koszul_coefficients(degrees: Sequence[int], limit: float) -> dict[int, int]
 
 
 def _riemann_roch_numbers(ci: CompleteIntersection,
-                          limit: float = inf) -> tuple[Fraction, Fraction] | None:
+                          limit: float = inf) -> tuple[int | Fraction, int | Fraction] | None:
     """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>) by the Koszul sum, or
     None as soon as more than ``limit`` signed subset sums are live."""
     coeffs = _koszul_coefficients(ci.degrees, limit)
-    if coeffs is None:
-        return None
-    charnum, a_hat, denominator = _folded_koszul_sum(ci.m, ci.degrees, coeffs)
-    return Fraction(charnum, denominator), Fraction(a_hat, denominator)
+    return None if coeffs is None else _folded_koszul_sum(ci.m, ci.degrees, coeffs)
 
 
 def _folded_koszul_sum(m: int, degrees: Sequence[int],
-                       coeffs: dict[int, int]) -> tuple[int, int, int]:
-    """(D <A-hat(TM) ch(T^C M), [M]>, D <A-hat(TM), [M]>, D), in integers,
-    for dimension m, the degrees and their signed subset sums {s: c_s}.
+                       coeffs: dict[int, int]) -> tuple[int | Fraction, int | Fraction]:
+    """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>), exactly: ints on spin
+    inputs and Fractions otherwise, for dimension m, the degrees and their
+    signed subset sums {s: c_s}.
 
     chi(M, O(t)) = sum_s c_s C(t - s + n, n) with n = m + r.  Serre duality
     gives chi(t0 + s) = (-1)^m chi(t0 - s), so for even m the sum folds to
     2*[(n+1) chi(t0+1) - chi(t0) - sum_j chi(t0+a_j)], and for odd m both
     numbers are zero.  Each binomial is computed once, reflected as
     C(x, n) = (-1)^n C(n-1-x, n) for 2x < n-1.  On spin inputs t0 is an
-    integer, D = 1 and each binomial is a math.comb.  Otherwise t0 is a
+    integer and each binomial is a math.comb.  Otherwise t0 is a
     half-integer, and 2^n n! C(x, n) = prod_{i<n} (2x - 2i) is a product of n
-    consecutive odd integers, which the odd part of n! divides; so
-    D = 2^(n + v2(n!)), with v2(n!) = n - popcount(n), and each binomial is
-    that product divided exactly by the odd part.
+    consecutive odd integers, which the odd part of n! divides.  The sums run
+    over those products, and each number is divided once, at the end: exactly
+    by the odd part, then by 2^(n + v2(n!)), v2(n!) = n - popcount(n).
     """
     if m % 2:
-        return 0, 0, 1
+        return 0, 0
     n = m + len(degrees)
     twice_t0 = sum(degrees) - n - 1
     spin = twice_t0 % 2 == 0
-    denominator = 1
-    if not spin:
-        twos = n - n.bit_count()
-        odd, denominator = factorial(n) >> twos, 2 ** (n + twos)
     sign, binomials = (-1) ** n, {}
 
     def chi(shift: int) -> int:
-        """D * chi(M, O(t0 + shift))"""
+        """chi(M, O(t0 + shift)), times 2^n n! on non-spin inputs"""
         total = 0
         for s, c in coeffs.items():
             twice_x = twice_t0 + 2 * (shift - s + n)
             if twice_x < n - 1:
                 twice_x, c = 2 * n - 2 - twice_x, sign * c
             if twice_x not in binomials:
-                binomials[twice_x] = (
-                    comb(twice_x // 2, n) if spin
-                    else _tree_product(range(twice_x, twice_x - 2 * n, -2)) // odd)
+                binomials[twice_x] = (comb(twice_x // 2, n) if spin
+                                      else _tree_product(range(twice_x, twice_x - 2 * n, -2)))
             total += c * binomials[twice_x]
         return total
 
     a_hat = chi(0)
     charnum = 2 * ((n + 1) * chi(1) - a_hat - sum(chi(a) for a in degrees))
-    return charnum, a_hat, denominator
+    if spin:
+        return charnum, a_hat
+    twos = n - n.bit_count()
+    odd, denominator = factorial(n) >> twos, 2 ** (n + twos)
+    return Fraction(charnum // odd, denominator), Fraction(a_hat // odd, denominator)
 
 
 def _tree_product(factors: Sequence[int]) -> int:
@@ -347,24 +347,27 @@ def _power_sum_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
 
 def _number_bits(ci: CompleteIntersection) -> tuple[float, int]:
     """(estimated bits, k) of the largest integer the Koszul sum forms, from
-    math.lgamma, before any is computed: the largest binomial C(x, n) = C(x, k),
-    n = m + r, k = min(n, x - n), with |x| at most about
-    (a_1 + ... + a_r + n)/2 + max_j a_j, times 2^n n! on non-spin inputs."""
+    math.lgamma, before any is computed, with n = m + r and the top x at most
+    about (a_1 + ... + a_r + n)/2 + max_j a_j.  On spin inputs that is the
+    largest binomial C(x, n) = C(x, k), k = min(n, x - n).  Otherwise it is a
+    product of k = n odd factors, whatever the top, at most
+    2^n y!/(y - n)! = 2^n n! C(y, n) with y = max(x, n)."""
     n = ci.m + ci.codimension
     x = (sum(ci.degrees) + n) // 2 + max(ci.degrees)
-    k = max(0, min(n, x - n))
+    spin = is_spin(ci)
+    x, k = (x, max(0, min(n, x - n))) if spin else (max(x, n), n)
     if x < 2**52:
         nats = lgamma(x + 1) - lgamma(k + 1) - lgamma(x - k + 1)
     else:  # past float precision: log C(x, k) = k log x - log k! + O(k^2/x)
         nats = k * log(x) - lgamma(k + 1)
-    if not is_spin(ci):
+    if not spin:
         nats += n * log(2) + lgamma(n + 1)
     return nats / log(2), k
 
 
 def _koszul_seconds_per_sum(ci: CompleteIntersection) -> float:
     """Estimated time of the Koszul sum per signed subset sum: r+2 binomials,
-    each priced as the largest."""
+    or products on non-spin inputs, each priced as the largest."""
     bits, k = _number_bits(ci)
     return (ci.codimension + 2) * (_BINOMIAL_S + _BINOMIAL_BIT_S * bits * k)
 
@@ -412,7 +415,7 @@ def _characteristic_numbers(ci: CompleteIntersection) -> tuple[int | Fraction, F
         raise ArithmeticError(
             f"characteristic numbers of spin {ci} came out non-integral ({charnum}, "
             f"{a_hat}); this signals a bug in the Riemann-Roch sum or the power-sum route")
-    return (int(charnum) if charnum.denominator == 1 else charnum), a_hat
+    return (int(charnum) if charnum.denominator == 1 else charnum), Fraction(a_hat)
 
 
 def char_number(ci: CompleteIntersection) -> int | Fraction:
@@ -481,10 +484,7 @@ def _polynomial_seconds(m: int, r: int) -> float:
 def _expanded_terms(m: int, r: int) -> float:
     """The polynomial's expanded terms, C(m/2 + r, r) for even m and none for
     odd m, each an r-tuple priced as r/8 terms of the fit at r <= 8 past it."""
-    # callers count them once the key steps fit the budget, where m/2 <= 69 and
-    # C(m/2 + MAX_COMPLEX_DIM, m/2) is about 10^240; faster key steps would
-    # reach m/2 = 92, where it passes a float's 10^308
-    return 0 if m % 2 else max(1, r / 8) * min(comb(m // 2 + r, m // 2), 2**64)
+    return 0 if m % 2 else max(1, r / 8) * comb(m // 2 + r, m // 2)
 
 
 def _partition_count(total: int, parts: int) -> int:

@@ -121,8 +121,6 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if type(other) is int or isinstance(other, Fraction):
-            other = MultiPoly(self.num_vars, {(0,) * self.num_vars: other})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms

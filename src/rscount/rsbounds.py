@@ -190,12 +190,12 @@ def degree_search_report(m: int, threshold: int) -> RSBoundReport:
     """rs_lower_bound of the hypersurface of degree
     find_degree_exceeding(m, threshold), from the numbers the search computed
     at that degree; the same inputs are refused."""
-    degree, (charnum, a_hat, _) = _hypersurface_search(m, threshold)
+    degree, (charnum, a_hat) = _hypersurface_search(m, threshold)
     # an even degree past m+2 is spin, with c_1 < 0: a spin fold's numbers are integers
     return _report(CompleteIntersection(m, (degree,)), charnum, Fraction(a_hat))
 
 
-def _hypersurface_search(m: int, threshold: int) -> tuple[int, tuple[int, int, int]]:
+def _hypersurface_search(m: int, threshold: int) -> tuple[int, tuple[int, int]]:
     """(a, _folded_koszul_sum at a) for find_degree_exceeding's answer a, as
     |P(a)| increases on the even a > m+2: gallop with doubling steps, then
     bisect."""
@@ -205,7 +205,7 @@ def _hypersurface_search(m: int, threshold: int) -> tuple[int, tuple[int, int, i
         raise InvalidInputError(
             f"threshold has more than THRESHOLD_DIGITS = {THRESHOLD_DIGITS} decimal digits")
 
-    def fold(a: int) -> tuple[int, int, int]:
+    def fold(a: int) -> tuple[int, int]:
         return _folded_koszul_sum(m, (a,), {0: 1, a: -1})
     lo, step = m + 2, 2
     while abs((found := fold(lo + step))[0]) <= threshold:

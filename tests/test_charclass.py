@@ -195,6 +195,9 @@ class TestRiemannRochRoute:
     @example(2, [1, 1])         # non-spin
     @example(3, [2, 5])         # odd m
     @example(30, [2, 3, 5, 7, 11, 12])
+    @example(2000, [3])         # non-spin, every top below n = 2001
+    @example(2000, [2, 2, 3])   # non-spin, a product divided once per number
+    @example(2000, [4, 5])      # spin at the same n
     def test_serre_fold_equals_the_two_sided_sum(self, m, degrees):
         ci = CompleteIntersection(m, tuple(degrees))
         every_sum = _koszul_coefficients(ci.degrees, 2 ** len(degrees))
@@ -299,9 +302,13 @@ class TestBudgets:
         assert largest.bit_length() - 1.01 < _number_bits(ci)[0] < largest.bit_length() + 0.01
 
     @pytest.mark.parametrize("m, degrees", [
-        (2, (5,)), (40, (43,)), (6, (2, 4, 7)), (8, (3, 5, 7, 11)), (10, (2,) * 18 + (3,))])
+        (2, (5,)), (40, (43,)), (6, (2, 4, 7)), (8, (3, 5, 7, 11)), (10, (2,) * 18 + (3,)),
+        # every top below n, where a spin sum's binomials are zero
+        (2000, (3,)), (400, (2, 2, 3)), (200, (2,) * 10), (300, (1, 1, 1, 3)),
+        (100, (2, 4, 6, 8, 10, 12, 14, 16))])
     def test_number_bits_counts_the_non_spin_denominator(self, m, degrees):
-        # each term of a non-spin sum is 2^n n! C(x, n), x a half-integer
+        # each term of a non-spin sum is 2^n n! C(x, n), x a half-integer: a
+        # product of n odd factors, priced with k = n whatever the top
         ci = CompleteIntersection(m, degrees)
         assert not is_spin(ci)
         n, twice_t0 = m + len(degrees), -first_chern_coefficient(ci)
@@ -310,7 +317,11 @@ class TestBudgets:
             for shift in (0, 1, -1, *degrees, *(-a for a in degrees)):
                 twice_x = twice_t0 + 2 * (shift - s + n)
                 largest = max(largest, abs(prod(range(twice_x, twice_x - 2 * n, -2))))
-        assert largest.bit_length() - 2 < _number_bits(ci)[0] < largest.bit_length() + 2
+        bits, k = _number_bits(ci)
+        assert k == n
+        assert largest.bit_length() - 1 <= bits
+        if (sum(degrees) + n) // 2 + max(degrees) >= n:
+            assert bits < largest.bit_length() + 2
 
     @pytest.mark.parametrize("m, degrees", [
         # 2^15 signed subset sums, and power sums past the budget: 16 s
@@ -329,6 +340,36 @@ class TestBudgets:
         for name in ("_folded_koszul_sum", "_power_sum_numbers"):
             monkeypatch.setattr(charclass, name, fail)
         with pytest.raises(InvalidInputError, match=self.BUDGET):
+            char_number(CompleteIntersection(m, degrees))
+
+    @pytest.mark.parametrize("m, degrees", [
+        # admitted at microseconds to a millisecond estimated before each
+        # product was priced at k = n, and ran 2.0 to 28.7 s in process
+        (80000, (3,)), (80000, (2, 2)), (80000, (2,) * 10), (80000, (2,) * 40),
+        (80000, (4,) * 40), (80000, (2, 4, 6, 8, 10, 12, 14, 16)), (40000, (2,) * 40)])
+    def test_non_spin_products_past_the_budget_are_refused(self, m, degrees, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a product was formed past the work budget")
+        monkeypatch.setattr(charclass, "_tree_product", fail)
+        with pytest.raises(InvalidInputError, match=self.BUDGET):
+            char_number(CompleteIntersection(m, degrees))
+
+    @pytest.mark.parametrize("m, degrees", [(6000, (2,) * 10), (12000, (2, 2, 3))])
+    def test_non_spin_products_within_the_budget_run(self, m, degrees):
+        # 1.16 and 1.13 s estimated, 0.05 and 0.1 s in process: r+2 products
+        # of n odd factors per sum, and each number divided once
+        n = m + len(degrees)
+        value = char_number(CompleteIntersection(m, degrees))
+        assert 2 ** (2 * n - n.bit_count()) % Fraction(value).denominator == 0
+
+    @pytest.mark.parametrize("m, degrees", [
+        (20000, (3,)), (7060, (2237, 548, 556, 37)), (30000, (30003,))])
+    def test_non_spin_sums_within_the_budget_are_admitted(self, m, degrees, monkeypatch):
+        # estimated at 0.67, 1.21 and 1.77 s; 0.1 to 0.5 s in process
+        def reached(*args):
+            raise LookupError("the Koszul sum ran")
+        monkeypatch.setattr(charclass, "_folded_koszul_sum", reached)
+        with pytest.raises(LookupError):
             char_number(CompleteIntersection(m, degrees))
 
     def test_vanishing_binomials_count_toward_the_work(self, monkeypatch):
@@ -388,8 +429,8 @@ class TestBudgets:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 138, 139, 212, MAX_COMPLEX_DIM])
     def test_estimates_at_the_corners_of_the_domain(self, m):
-        # pins the term-count clamp of _polynomial_seconds and the early return
-        # of verify's estimate, which keep every estimate inside a float
+        # pins the early returns of _polynomial_seconds and of verify's
+        # estimate, which keep every estimate inside a float
         for r in (1, 2, 3, 138, 139, 212, MAX_COMPLEX_DIM):
             for seconds in (_polynomial_seconds(m, r), verify._symmetric_poly_seconds(m, r)):
                 assert isinstance(seconds, float) and isfinite(seconds) and seconds >= 0, (m, r)
