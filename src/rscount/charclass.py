@@ -240,7 +240,8 @@ def _folded_koszul_sum(m: int, degrees: Sequence[int],
     half-integer, and 2^n n! C(x, n) = prod_{i<n} (2x - 2i) is a product of n
     consecutive odd integers, which the odd part of n! divides.  The sums run
     over those products, and each number is divided once, at the end: exactly
-    by the odd part, then by 2^(n + v2(n!)), v2(n!) = n - popcount(n).
+    by the odd part, then by 2^(n + v2(n!)), v2(n!) = n - popcount(n).  A
+    remainder from the odd part signals a wrong product: ArithmeticError.
     """
     if m % 2:
         return 0, 0
@@ -268,7 +269,14 @@ def _folded_koszul_sum(m: int, degrees: Sequence[int],
         return charnum, a_hat
     twos = n - n.bit_count()
     odd, denominator = factorial(n) >> twos, 2 ** (n + twos)
-    return Fraction(charnum // odd, denominator), Fraction(a_hat // odd, denominator)
+    numbers = []
+    for total in (charnum, a_hat):
+        quotient, remainder = divmod(total, odd)
+        if remainder:
+            raise ArithmeticError(f"a Koszul sum at n = {n} is not divisible by the odd "
+                                  f"part of n!; this signals a bug in its products")
+        numbers.append(Fraction(quotient, denominator))
+    return tuple(numbers)
 
 
 def _tree_product(factors: Sequence[int]) -> int:

@@ -7,9 +7,9 @@ flat tori.
 
 Exit codes: 0 success, 1 usage errors and failed verifications, 2 for valid
 inputs where the bound theorem does not apply (non-spin or Fano).  A usage
-error is a flag argparse rejects, or an InvalidInputError: a missing flag or
-a table range from this module, or input the library rejects.  Any other
-exception is a bug and propagates.
+error is a flag argparse rejects, or an InvalidInputError: a missing or
+foreign flag or a table range from this module, or input the library
+rejects.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class _ExitOneParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for a command line whose first argument is ``command``."""
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for the command line ``argv``."""
     def compute(parser):
         parser.add_argument("--complex-dim", type=int, required=True, metavar="M",
                             help="complex dimension m")
@@ -112,31 +112,30 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         parser.add_argument("--torus-dim", type=int, required=True, metavar="K")
         parser.set_defaults(handler=_cmd_product)
 
-    # Every command stays registered with its name and help: argparse builds
-    # the top-level help, the usage line and the invalid-choice error from
-    # them.  That is all the idle commands carry; only the command that runs
-    # gets -h and its arguments, which are most of the parser's cost, and when
-    # the first argument names no command, all five do.  Dropping the idle
-    # registrations, or building the parser once per process, would cost less
-    # per call, but the benchmark keeps a sample per finished job, so the
-    # extra jobs would read as peak memory past its 5% bound (ROADMAP item 1).
-    commands = (
-        ("compute", "bound report for one complete intersection", compute),
-        ("table", "emit a reference table", table),
-        ("verify", "run a verification suite", verify),
-        ("search", "smallest even degree whose hypersurface beats a threshold", search),
-        ("product", "bound for the product with a flat torus", product))
-    named = command in {name for name, _, _ in commands}
+    # Every command stays registered with its name and help, from which
+    # argparse builds the top-level help, usage and invalid-choice error.
+    # Only the first argument naming a command can run, since argparse hands
+    # it all that follows and an unknown flag before it takes no value: it
+    # alone gets -h and its arguments, most of the parser's cost.  Fewer
+    # registrations, or one parser per process, would cost less per call, but
+    # the benchmark keeps a sample per finished job, so the extra jobs would
+    # read as peak memory past its 5% bound (ROADMAP item 1).
+    commands = {
+        "compute": ("bound report for one complete intersection", compute),
+        "table": ("emit a reference table", table),
+        "verify": ("run a verification suite", verify),
+        "search": ("smallest even degree whose hypersurface beats a threshold", search),
+        "product": ("bound for the product with a flat torus", product)}
+    runs = next((arg for arg in argv if arg in commands), None)
     parser = _ExitOneParser(
         prog="rscount",
         description="Exact characteristic numbers of complete intersections "
                     "and the Rarita-Schwinger dimension bounds they imply.")
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_ExitOneParser)
-    for name, help_text, add_arguments in commands:
-        runs = name == command or not named
-        subparser = subparsers.add_parser(name, help=help_text, add_help=runs)
-        if runs:
+    for name, (help_text, add_arguments) in commands.items():
+        subparser = subparsers.add_parser(name, help=help_text, add_help=name == runs)
+        if name == runs:
             subparser.add_argument("--format", choices=FORMATS, default="json",
                                    help="output format (default: json)")
             subparser.add_argument("--quiet", action="store_true",
@@ -178,20 +177,28 @@ TABLE_MAX_N = 20000
 TABLE_MAX_M = 2500
 
 
-def _required(value, flag: str):
-    if value is None:
-        raise InvalidInputError(f"this command requires {flag}")
-    return value
+def _flag_values(args, name: str, *flags: str) -> list:
+    """The values of ``flags``, all of which table or suite ``name`` takes and
+    requires; it refuses any other flag of table and verify."""
+    given = {flag: getattr(args, flag[2:].replace("-", "_"), None)
+             for flag in ("--max-n", "--max-m", "--m", "--r")}
+    for flag in flags:
+        if given[flag] is None:
+            raise InvalidInputError(f"this command requires {flag}")
+    for flag, value in given.items():
+        if value is not None and flag not in flags:
+            raise InvalidInputError(f"{name} does not take {flag}")
+    return [given[flag] for flag in flags]
 
 
 def _cmd_table(args) -> tuple[dict, int]:
     if args.name == "parallel-spinors":
-        max_n = _required(args.max_n, "--max-n")
+        (max_n,) = _flag_values(args, args.name, "--max-n")
         _require_int(max_n, "--max-n", 1, TABLE_MAX_N, "TABLE_MAX_N")
         rows = [{"n": n, "parallelSpinors": _decimal(max_parallel_spinors(n))}
                 for n in range(1, max_n + 1)]
         return {"name": "parallel-spinors", "maxN": max_n, "rows": rows}, 0
-    max_m = _required(args.max_m, "--max-m")
+    (max_m,) = _flag_values(args, args.name, "--max-m")
     _require_int(max_m, "--max-m", 2, TABLE_MAX_M, "TABLE_MAX_M", even=True)
     rows = [{"m": m,
              "rsBound": _decimal(cy_hypersurface_bound_closed_form(m)),
@@ -203,14 +210,14 @@ def _cmd_table(args) -> tuple[dict, int]:
 def _cmd_verify(args) -> tuple[dict, int]:
     from . import verify  # only this command needs it
     if args.suite == "hypersurface-poly":
-        m = _required(args.m, "--m")
+        (m,) = _flag_values(args, args.suite, "--m")
         degree, leading, checks = verify.hypersurface_poly(m)
         result = {"m": m, "degree": degree, "leadingCoefficient": _decimal(leading)}
     elif args.suite == "symmetric-poly":
-        m, r = _required(args.m, "--m"), _required(args.r, "--r")
+        m, r = _flag_values(args, args.suite, "--m", "--r")
         checks, result = verify.symmetric_poly(m, r), {"m": m, "r": r}
     else:
-        max_m = _required(args.max_m, "--max-m")
+        (max_m,) = _flag_values(args, args.suite, "--max-m")
         suite = verify.closed_form if args.suite == "closed-form" else verify.torus_inequality
         checks, result = suite(max_m), {"maxM": max_m}
     all_pass = all(passed for _, passed in checks)
@@ -244,7 +251,7 @@ def _cmd_product(args) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     # The parser's actions and groups point back at it, so it dies only in a
     # cyclic collection.  Collect it now, while it is young: otherwise, when
     # main runs many times in one process, parsers that a collection caught

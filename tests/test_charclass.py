@@ -203,6 +203,13 @@ class TestRiemannRochRoute:
         every_sum = _koszul_coefficients(ci.degrees, 2 ** len(degrees))
         assert _riemann_roch_numbers(ci) == two_sided_koszul_sum(ci, every_sum)
 
+    def test_a_product_the_odd_part_does_not_divide_raises(self, monkeypatch):
+        # a cubic surface is non-spin, n = 3: a wrong product would floor to
+        # a wrong exact number under the odd part of 3!, so it surfaces instead
+        monkeypatch.setattr(charclass, "_tree_product", lambda factors: prod(factors) + 1)
+        with pytest.raises(ArithmeticError, match="odd part of n!"):
+            char_number(CompleteIntersection(2, (3,)))
+
     def test_tree_product_equals_prod(self):
         for n in range(41):
             for top in (2 * n + 1, 2 * n - 1, 3, -7, 10**50 + 1):

@@ -262,6 +262,27 @@ class TestVerifyCommand:
             {"check": "bound matches closed form (m=4)", "pass": True}]
 
 
+class TestTableAndSuiteFlags:
+    # each table and suite refuses the flags of its command that it does not
+    # take, before their values are checked or any work is done
+    @pytest.mark.parametrize("argv, foreign", [
+        (["table", "parallel-spinors", "--max-n", "2", "--max-m", "7"], "--max-m"),
+        (["table", "calabi-yau", "--max-m", "4", "--max-n", "0"], "--max-n"),
+        (["verify", "closed-form", "--max-m", "4", "--m", "3", "--r", "9"], "--m"),
+        (["verify", "hypersurface-poly", "--m", "4", "--max-m", "3", "--r", "0"], "--max-m"),
+        (["verify", "symmetric-poly", "--m", "2", "--r", "3", "--max-m", "2"], "--max-m"),
+        (["verify", "torus-inequality", "--max-m", "10", "--r", "1"], "--r"),
+    ], ids=["parallel-spinors", "calabi-yau", "closed-form", "hypersurface-poly",
+            "symmetric-poly", "torus-inequality"])
+    def test_a_foreign_flag_exits_1_naming_it(self, argv, foreign, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {argv[1]} does not take {foreign}\n")
+
+    def test_a_missing_flag_is_named_first(self, capsys):
+        assert cli.main(["verify", "symmetric-poly", "--m", "2", "--max-m", "2"]) == 1
+        assert capsys.readouterr() == ("", "error: this command requires --r\n")
+
+
 class TestSearchCommand:
     def test_threshold_100_golden(self):
         proc = run_cli("search", "--complex-dim", "2", "--threshold", "100")
@@ -552,6 +573,13 @@ class TestHelpText:
                            "--torus-dim", "1", "extra"]),
         ("extra_table", ["table", "calabi-yau", "--max-m", "2", "extra"]),
         ("extra_verify", ["verify", "closed-form", "--max-m", "2", "extra"]),
+        # a command named after the first argument
+        ("quiet_before_command", ["--quiet", "compute", "--complex-dim", "2", "--degrees", "4"]),
+        ("unknown_flag_before_table", ["-x", "table", "calabi-yau", "--max-m", "2"]),
+        ("format_before_search", ["--format", "csv", "search", "--complex-dim", "2",
+                                  "--threshold", "1"]),
+        ("unknown_flag_before_help", ["-x", "compute", "-h"]),
+        ("unknown_before_command", ["bogus", "compute"]),
     ])
     def test_help_and_error_bytes(self, name, argv):
         proc = run_cli(*argv)
@@ -560,7 +588,7 @@ class TestHelpText:
 
 
 class TestParserBuilding:
-    # each command's arguments, by destination, when the parser has them all
+    # each command's arguments, by destination, when it is the first named
     FULL = {
         "compute": ["help", "format", "quiet", "meta", "complex_dim", "degrees"],
         "table": ["help", "format", "quiet", "meta", "name", "max_n", "max_m"],
@@ -581,11 +609,13 @@ class TestParserBuilding:
         # the others stay registered by name and help only
         expected = {name: [] for name in self.FULL}
         expected[command] = self.FULL[command]
-        assert self.arguments(cli._build_parser(command)) == expected
+        assert self.arguments(cli._build_parser([command])) == expected
 
-    @pytest.mark.parametrize("first", [None, "--help", "-h", "--", "bogus", "--format"])
-    def test_a_first_argument_naming_no_command_builds_every_command(self, first):
-        assert self.arguments(cli._build_parser(first)) == self.FULL
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["--"], ["bogus"], ["--format", "csv", "-x", "extra"]],
+        ids=lambda argv: argv[0] if argv else "empty")
+    def test_with_no_command_named_no_command_has_arguments(self, argv):
+        assert self.arguments(cli._build_parser(argv)) == {name: [] for name in self.FULL}
 
     @pytest.mark.parametrize("argv", [
         ["compute", "--complex-dim", "4", "--degrees", "6", "8"],
@@ -597,8 +627,23 @@ class TestParserBuilding:
          "--format", "csv", "--quiet", "--meta"],
     ])
     def test_the_named_command_parses_as_with_every_command(self, argv):
-        trimmed = cli._build_parser(argv[0]).parse_args(argv)
-        assert vars(trimmed) == vars(cli._build_parser(None).parse_args(argv))
+        # it has exactly the arguments it has when every command is built
+        parser = cli._build_parser(argv)
+        assert self.arguments(parser)[argv[0]] == self.FULL[argv[0]]
+        assert set(vars(parser.parse_args(argv))) == {
+            *self.FULL[argv[0]], "command", "handler"} - {"help"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--quiet", "compute", "--complex-dim", "2", "--degrees", "4"],
+        ["-x", "table", "calabi-yau", "--max-m", "2"],
+        ["bogus", "search", "product"],
+        ["verify", "table", "compute"],
+    ])
+    def test_the_first_command_named_has_exactly_its_arguments(self, argv):
+        # the only command that can run, where it is named at all
+        first = next(arg for arg in argv if arg in self.FULL)
+        assert self.arguments(cli._build_parser(argv)) == {
+            name: self.FULL[name] if name == first else [] for name in self.FULL}
 
 
 class TestGlobalFlags:
