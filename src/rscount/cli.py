@@ -112,14 +112,18 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         parser.add_argument("--torus-dim", type=int, required=True, metavar="K")
         parser.set_defaults(handler=_cmd_product)
 
-    # Every command stays registered with its name and help, from which
-    # argparse builds the top-level help, usage and invalid-choice error.
     # Only the first argument naming a command can run, since argparse hands
     # it all that follows and an unknown flag before it takes no value: it
-    # alone gets -h and its arguments, most of the parser's cost.  Fewer
-    # registrations, or one parser per process, would cost less per call, but
-    # the benchmark keeps a sample per finished job, so the extra jobs would
-    # read as peak memory past its 5% bound (ROADMAP item 1).
+    # alone gets -h and its arguments, most of the parser's cost.  A line that
+    # starts with that command registers it alone: the top-level parser can
+    # then only report unrecognized arguments, under a usage line that the
+    # metavar keeps naming every command.  Any other line registers every
+    # command by name and help, from which argparse builds the top-level
+    # help, the invalid-choice error and, naming it by the default metavar
+    # "command", the missing-command error.  One parser kept for the whole
+    # process would cost less still, but the benchmark keeps a sample per
+    # finished job, so its extra jobs would read as peak memory past the 5%
+    # bound (ROADMAP item 1a).
     commands = {
         "compute": ("bound report for one complete intersection", compute),
         "table": ("emit a reference table", table),
@@ -127,13 +131,17 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         "search": ("smallest even degree whose hypersurface beats a threshold", search),
         "product": ("bound for the product with a flat torus", product)}
     runs = next((arg for arg in argv if arg in commands), None)
+    leading = argv[:1] == [runs]
     parser = _ExitOneParser(
         prog="rscount",
         description="Exact characteristic numbers of complete intersections "
                     "and the Rarita-Schwinger dimension bounds they imply.")
-    subparsers = parser.add_subparsers(dest="command", required=True,
-                                       parser_class=_ExitOneParser)
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, parser_class=_ExitOneParser,
+        metavar="{" + ",".join(commands) + "}" if leading else None)
     for name, (help_text, add_arguments) in commands.items():
+        if leading and name != runs:
+            continue
         subparser = subparsers.add_parser(name, help=help_text, add_help=name == runs)
         if name == runs:
             subparser.add_argument("--format", choices=FORMATS, default="json",

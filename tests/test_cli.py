@@ -9,19 +9,24 @@ the stdout, stderr and exit code of help and usage-error invocations.
 import argparse
 import contextlib
 import gc
+import io
 import json
 import shutil
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
+from unittest import mock
 
 import pytest
 from conftest import golden, polynomial_suite_edge, run_cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rscount import charclass, cli, rsbounds, series, verify
 from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS,
                                CompleteIntersection, InvalidInputError, char_number)
+from rscount.output import FORMATS
 from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               hypersurface_char_number_closed_form)
 from rscount.series import PowerSeries
@@ -580,11 +585,95 @@ class TestHelpText:
                                   "--threshold", "1"]),
         ("unknown_flag_before_help", ["-x", "compute", "-h"]),
         ("unknown_before_command", ["bogus", "compute"]),
+        # a line that starts with its command and ends in something unrecognized
+        ("leading_unknown_verify", ["verify", "closed-form", "--max-m", "2", "--bogus"]),
+        ("leading_unknown_product", ["product", "--complex-dim", "2", "--degrees", "4",
+                                     "--torus-dim", "1", "-x"]),
+        ("leading_command_after_table", ["table", "calabi-yau", "--max-m", "2", "search"]),
     ])
     def test_help_and_error_bytes(self, name, argv):
         proc = run_cli(*argv)
         captured = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
         assert captured == json.loads(golden(f"cli_{name}.json"))
+
+    @staticmethod
+    def every_command_in_full(argv):
+        """The reference parser: all five commands registered with -h, the
+        output flags and their own arguments, whatever the command line."""
+        shared = cli._ExitOneParser(add_help=False)
+        shared.add_argument("--format", choices=FORMATS, default="json",
+                            help="output format (default: json)")
+        shared.add_argument("--quiet", action="store_true",
+                            help="suppress the stdout payload; rely on exit codes")
+        shared.add_argument("--meta", action="store_true",
+                            help="attach tool metadata to JSON output")
+        parser = cli._ExitOneParser(
+            prog="rscount",
+            description="Exact characteristic numbers of complete intersections "
+                        "and the Rarita-Schwinger dimension bounds they imply.")
+        commands = parser.add_subparsers(dest="command", required=True,
+                                         parser_class=cli._ExitOneParser)
+        compute = commands.add_parser(
+            "compute", parents=[shared], help="bound report for one complete intersection")
+        compute.add_argument("--complex-dim", type=int, required=True, metavar="M",
+                             help="complex dimension m")
+        compute.add_argument("--degrees", type=int, nargs="+", required=True,
+                             metavar="A", help="degrees of the defining polynomials")
+        compute.set_defaults(handler=cli._cmd_compute)
+        table = commands.add_parser("table", parents=[shared], help="emit a reference table")
+        table.add_argument("name", choices=("parallel-spinors", "calabi-yau"))
+        table.add_argument("--max-n", type=int, metavar="N",
+                           help="largest dimension n (parallel-spinors)")
+        table.add_argument("--max-m", type=int, metavar="M",
+                           help="largest complex dimension m (calabi-yau)")
+        table.set_defaults(handler=cli._cmd_table)
+        verify = commands.add_parser("verify", parents=[shared],
+                                     help="run a verification suite")
+        verify.add_argument("suite", choices=("hypersurface-poly", "symmetric-poly",
+                                              "closed-form", "torus-inequality"))
+        verify.add_argument("--max-m", type=int, metavar="M")
+        verify.add_argument("--m", type=int, metavar="M")
+        verify.add_argument("--r", type=int, metavar="R")
+        verify.set_defaults(handler=cli._cmd_verify)
+        search = commands.add_parser(
+            "search", parents=[shared],
+            help="smallest even degree whose hypersurface beats a threshold")
+        search.add_argument("--complex-dim", type=int, required=True, metavar="M")
+        search.add_argument("--threshold", type=int, required=True, metavar="C")
+        search.set_defaults(handler=cli._cmd_search)
+        product = commands.add_parser(
+            "product", parents=[shared], help="bound for the product with a flat torus")
+        product.add_argument("--complex-dim", type=int, required=True, metavar="M")
+        product.add_argument("--degrees", type=int, nargs="+", required=True, metavar="A")
+        product.add_argument("--torus-dim", type=int, required=True, metavar="K")
+        product.set_defaults(handler=cli._cmd_product)
+        return parser
+
+    @staticmethod
+    def outcome(argv):
+        """How cli.main ends on ``argv`` (its return value or the code it
+        exits with), and what it writes to stdout and stderr."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                end = ("return", cli.main(argv))
+            except SystemExit as exc:
+                end = ("exit", exc.code)
+        return end, stdout.getvalue(), stderr.getvalue()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "compute", "table", "verify", "search", "product",
+        "parallel-spinors", "calabi-yau", "hypersurface-poly", "symmetric-poly",
+        "closed-form", "torus-inequality",
+        "--complex-dim", "--degrees", "--threshold", "--torus-dim",
+        "--max-n", "--max-m", "--m", "--r", "--format", "--quiet", "--meta",
+        "2", "4", "-1", "csv", "-h", "--help", "--", "-x", "--he", "--form", "bogus",
+    ]), max_size=9))
+    def test_bytes_equal_those_with_every_command_in_full(self, argv):
+        with mock.patch.object(cli, "_build_parser", self.every_command_in_full):
+            expected = self.outcome(argv)
+        assert self.outcome(argv) == expected
 
 
 class TestParserBuilding:
@@ -606,10 +695,10 @@ class TestParserBuilding:
 
     @pytest.mark.parametrize("command", list(FULL))
     def test_only_the_named_command_gets_its_arguments(self, command):
-        # the others stay registered by name and help only
-        expected = {name: [] for name in self.FULL}
-        expected[command] = self.FULL[command]
-        assert self.arguments(cli._build_parser([command])) == expected
+        # a line that starts with its command registers that command alone,
+        # whatever other command names follow it
+        assert self.arguments(cli._build_parser([command, *self.FULL])) == {
+            command: self.FULL[command]}
 
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["-h"], ["--"], ["bogus"], ["--format", "csv", "-x", "extra"]],
@@ -637,13 +726,38 @@ class TestParserBuilding:
         ["--quiet", "compute", "--complex-dim", "2", "--degrees", "4"],
         ["-x", "table", "calabi-yau", "--max-m", "2"],
         ["bogus", "search", "product"],
-        ["verify", "table", "compute"],
+        ["-x", "verify", "table", "compute"],
     ])
     def test_the_first_command_named_has_exactly_its_arguments(self, argv):
-        # the only command that can run, where it is named at all
+        # with something before the command, every command is registered for
+        # the help and errors argparse builds from them all; the first named
+        # is the only one that can run
         first = next(arg for arg in argv if arg in self.FULL)
         assert self.arguments(cli._build_parser(argv)) == {
             name: self.FULL[name] if name == first else [] for name in self.FULL}
+
+    @pytest.mark.parametrize("command", list(FULL))
+    def test_both_shapes_print_the_same_top_level_usage(self, command):
+        # the usage that prefixes the top-level "unrecognized arguments" error
+        assert (cli._build_parser([command]).format_usage()
+                == cli._build_parser(["-x", command]).format_usage())
+
+    @pytest.mark.parametrize("argv, built", [
+        (["compute", "--complex-dim", "2", "--degrees", "4", "--quiet"], 2),
+        (["--quiet", "compute", "--complex-dim", "2", "--degrees", "4"], 6),
+    ])
+    def test_parsers_built_per_call(self, argv, built, monkeypatch, capsys):
+        # the top-level parser and one per registered command
+        inits = []
+        init = cli._ExitOneParser.__init__
+
+        def counted(parser, **kwargs):
+            inits.append(kwargs)
+            init(parser, **kwargs)
+        monkeypatch.setattr(cli._ExitOneParser, "__init__", counted)
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+        assert len(inits) == built
 
 
 class TestGlobalFlags:
