@@ -76,82 +76,111 @@ class _ExitOneParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _compute_arguments(parser):
+    parser.add_argument("--complex-dim", type=int, required=True, metavar="M",
+                        help="complex dimension m")
+    parser.add_argument("--degrees", type=int, nargs="+", required=True,
+                        metavar="A", help="degrees of the defining polynomials")
+    parser.set_defaults(handler=_cmd_compute)
+
+
+def _table_arguments(parser):
+    parser.add_argument("name", choices=("parallel-spinors", "calabi-yau"))
+    parser.add_argument("--max-n", type=int, metavar="N",
+                        help="largest dimension n (parallel-spinors)")
+    parser.add_argument("--max-m", type=int, metavar="M",
+                        help="largest complex dimension m (calabi-yau)")
+    parser.set_defaults(handler=_cmd_table)
+
+
+def _verify_arguments(parser):
+    parser.add_argument("suite", choices=("hypersurface-poly", "symmetric-poly",
+                                          "closed-form", "torus-inequality"))
+    parser.add_argument("--max-m", type=int, metavar="M")
+    parser.add_argument("--m", type=int, metavar="M")
+    parser.add_argument("--r", type=int, metavar="R")
+    parser.set_defaults(handler=_cmd_verify)
+
+
+def _search_arguments(parser):
+    parser.add_argument("--complex-dim", type=int, required=True, metavar="M")
+    parser.add_argument("--threshold", type=int, required=True, metavar="C")
+    parser.set_defaults(handler=_cmd_search)
+
+
+def _product_arguments(parser):
+    parser.add_argument("--complex-dim", type=int, required=True, metavar="M")
+    parser.add_argument("--degrees", type=int, nargs="+", required=True, metavar="A")
+    parser.add_argument("--torus-dim", type=int, required=True, metavar="K")
+    parser.set_defaults(handler=_cmd_product)
+
+
+# Each command's help line and the function that adds its own arguments.
+# Only the first argument naming a command can run, since argparse hands it
+# all that follows and an unknown flag before it takes no value: it alone
+# gets -h and its arguments, most of a parser's cost.  A line that starts
+# with its command is parsed by that command's parser alone; the top-level
+# parser is built only when something is left over, to report it as
+# unrecognized arguments.  Any other line registers every command by name
+# and help, from which argparse builds the top-level help, the
+# invalid-choice error and, naming it by the default metavar "command", the
+# missing-command error.  One parser kept for the whole process would cost
+# less still, but the benchmark keeps a sample per finished job, so its
+# extra jobs would read as peak memory past the 5% bound (ROADMAP item 1a).
+_COMMANDS = {
+    "compute": ("bound report for one complete intersection", _compute_arguments),
+    "table": ("emit a reference table", _table_arguments),
+    "verify": ("run a verification suite", _verify_arguments),
+    "search": ("smallest even degree whose hypersurface beats a threshold",
+               _search_arguments),
+    "product": ("bound for the product with a flat torus", _product_arguments)}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Adds the output flags and the arguments of ``command`` to its parser."""
+    parser.add_argument("--format", choices=FORMATS, default="json",
+                        help="output format (default: json)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress the stdout payload; rely on exit codes")
+    parser.add_argument("--meta", action="store_true",
+                        help="attach tool metadata to JSON output")
+    _COMMANDS[command][1](parser)
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, as the top-level parser builds it."""
+    parser = _ExitOneParser(prog=f"rscount {command}")
+    _add_arguments(parser, command)
+    return parser
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for the command line ``argv``."""
-    def compute(parser):
-        parser.add_argument("--complex-dim", type=int, required=True, metavar="M",
-                            help="complex dimension m")
-        parser.add_argument("--degrees", type=int, nargs="+", required=True,
-                            metavar="A", help="degrees of the defining polynomials")
-        parser.set_defaults(handler=_cmd_compute)
-
-    def table(parser):
-        parser.add_argument("name", choices=("parallel-spinors", "calabi-yau"))
-        parser.add_argument("--max-n", type=int, metavar="N",
-                            help="largest dimension n (parallel-spinors)")
-        parser.add_argument("--max-m", type=int, metavar="M",
-                            help="largest complex dimension m (calabi-yau)")
-        parser.set_defaults(handler=_cmd_table)
-
-    def verify(parser):
-        parser.add_argument("suite", choices=("hypersurface-poly", "symmetric-poly",
-                                              "closed-form", "torus-inequality"))
-        parser.add_argument("--max-m", type=int, metavar="M")
-        parser.add_argument("--m", type=int, metavar="M")
-        parser.add_argument("--r", type=int, metavar="R")
-        parser.set_defaults(handler=_cmd_verify)
-
-    def search(parser):
-        parser.add_argument("--complex-dim", type=int, required=True, metavar="M")
-        parser.add_argument("--threshold", type=int, required=True, metavar="C")
-        parser.set_defaults(handler=_cmd_search)
-
-    def product(parser):
-        parser.add_argument("--complex-dim", type=int, required=True, metavar="M")
-        parser.add_argument("--degrees", type=int, nargs="+", required=True, metavar="A")
-        parser.add_argument("--torus-dim", type=int, required=True, metavar="K")
-        parser.set_defaults(handler=_cmd_product)
-
-    # Only the first argument naming a command can run, since argparse hands
-    # it all that follows and an unknown flag before it takes no value: it
-    # alone gets -h and its arguments, most of the parser's cost.  A line that
-    # starts with that command registers it alone: the top-level parser can
-    # then only report unrecognized arguments, under a usage line that the
-    # metavar keeps naming every command.  Any other line registers every
-    # command by name and help, from which argparse builds the top-level
-    # help, the invalid-choice error and, naming it by the default metavar
-    # "command", the missing-command error.  One parser kept for the whole
-    # process would cost less still, but the benchmark keeps a sample per
-    # finished job, so its extra jobs would read as peak memory past the 5%
-    # bound (ROADMAP item 1a).
-    commands = {
-        "compute": ("bound report for one complete intersection", compute),
-        "table": ("emit a reference table", table),
-        "verify": ("run a verification suite", verify),
-        "search": ("smallest even degree whose hypersurface beats a threshold", search),
-        "product": ("bound for the product with a flat torus", product)}
-    runs = next((arg for arg in argv if arg in commands), None)
-    leading = argv[:1] == [runs]
+    """The top-level parser for the command line ``argv``."""
+    runs = next((arg for arg in argv if arg in _COMMANDS), None)
     parser = _ExitOneParser(
         prog="rscount",
         description="Exact characteristic numbers of complete intersections "
                     "and the Rarita-Schwinger dimension bounds they imply.")
-    subparsers = parser.add_subparsers(
-        dest="command", required=True, parser_class=_ExitOneParser,
-        metavar="{" + ",".join(commands) + "}" if leading else None)
-    for name, (help_text, add_arguments) in commands.items():
-        if leading and name != runs:
-            continue
+    subparsers = parser.add_subparsers(dest="command", required=True,
+                                       parser_class=_ExitOneParser)
+    for name, (help_text, _) in _COMMANDS.items():
         subparser = subparsers.add_parser(name, help=help_text, add_help=name == runs)
         if name == runs:
-            subparser.add_argument("--format", choices=FORMATS, default="json",
-                                   help="output format (default: json)")
-            subparser.add_argument("--quiet", action="store_true",
-                                   help="suppress the stdout payload; rely on exit codes")
-            subparser.add_argument("--meta", action="store_true",
-                                   help="attach tool metadata to JSON output")
-            add_arguments(subparser)
+            _add_arguments(subparser, name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The arguments of the command line ``argv``, with its ``command``."""
+    if argv and argv[0] in _COMMANDS:
+        # argparse's subcommand action makes this same call on the command's
+        # parser, so -h, usage errors and defaults are the same
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    # the top-level parser reports what is left over as unrecognized
+    return _build_parser(argv).parse_args(argv)
 
 
 def _report_dict(report: RSBoundReport, include_index: bool) -> dict:
@@ -259,11 +288,15 @@ def _cmd_product(args) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
-    # The parser's actions and groups point back at it, so it dies only in a
-    # cyclic collection.  Collect it now, while it is young: otherwise, when
-    # main runs many times in one process, parsers that a collection caught
-    # alive pile up in the old generation until a full collection.
+    args = _parse_args(argv)
+    # A command's own parser dies by reference count, but argparse leaves
+    # about 40 objects a call in reference cycles: a HelpFormatter and its
+    # _Section for each added argument, which add_argument makes to check the
+    # metavar, and a few lists and actions (and the parsers themselves when
+    # the top-level parser is built).  Collect them now, while they are young:
+    # otherwise, when main runs many times in one process, those that a
+    # collection caught alive pile up in the old generation until a full
+    # collection.
     gc.collect(0)
     try:
         result, code = args.handler(args)

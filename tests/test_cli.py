@@ -11,6 +11,7 @@ import contextlib
 import gc
 import io
 import json
+import operator
 import shutil
 import sys
 from collections import Counter
@@ -597,7 +598,7 @@ class TestHelpText:
         assert captured == json.loads(golden(f"cli_{name}.json"))
 
     @staticmethod
-    def every_command_in_full(argv):
+    def every_command_in_full():
         """The reference parser: all five commands registered with -h, the
         output flags and their own arguments, whatever the command line."""
         shared = cli._ExitOneParser(add_help=False)
@@ -661,17 +662,30 @@ class TestHelpText:
                 end = ("exit", exc.code)
         return end, stdout.getvalue(), stderr.getvalue()
 
-    @settings(max_examples=400, deadline=None)
-    @given(st.lists(st.sampled_from([
+    TOKENS = st.lists(st.sampled_from([
         "compute", "table", "verify", "search", "product",
         "parallel-spinors", "calabi-yau", "hypersurface-poly", "symmetric-poly",
         "closed-form", "torus-inequality",
         "--complex-dim", "--degrees", "--threshold", "--torus-dim",
         "--max-n", "--max-m", "--m", "--r", "--format", "--quiet", "--meta",
         "2", "4", "-1", "csv", "-h", "--help", "--", "-x", "--he", "--form", "bogus",
-    ]), max_size=9))
+        "--format=csv", "--complex-dim=2", "--deg", "--he=1",
+    ]), max_size=9)
+    # a complete line of each command, so that the tokens after it reach its
+    # parser as often as not: both what it parses and what it leaves over
+    COMPLETE = st.sampled_from([
+        ["compute", "--complex-dim", "2", "--degrees", "4"],
+        ["table", "calabi-yau", "--max-m", "2"],
+        ["verify", "closed-form", "--max-m", "2"],
+        ["search", "--complex-dim", "2", "--threshold", "1"],
+        ["product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "1"],
+    ])
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(TOKENS, st.builds(operator.add, COMPLETE, TOKENS)))
     def test_bytes_equal_those_with_every_command_in_full(self, argv):
-        with mock.patch.object(cli, "_build_parser", self.every_command_in_full):
+        with mock.patch.object(cli, "_parse_args",
+                               lambda argv: self.every_command_in_full().parse_args(argv)):
             expected = self.outcome(argv)
         assert self.outcome(argv) == expected
 
@@ -695,10 +709,17 @@ class TestParserBuilding:
 
     @pytest.mark.parametrize("command", list(FULL))
     def test_only_the_named_command_gets_its_arguments(self, command):
-        # a line that starts with its command registers that command alone,
-        # whatever other command names follow it
+        # every command by name, the first named in full, whatever other
+        # command names follow it
         assert self.arguments(cli._build_parser([command, *self.FULL])) == {
-            command: self.FULL[command]}
+            name: self.FULL[name] if name == command else [] for name in self.FULL}
+
+    @pytest.mark.parametrize("command", list(FULL))
+    def test_a_commands_own_parser_has_exactly_its_arguments(self, command):
+        # what parses a line that starts with its command
+        parser = cli._command_parser(command)
+        assert parser.prog == f"rscount {command}"
+        assert [action.dest for action in parser._actions] == self.FULL[command]
 
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["-h"], ["--"], ["bogus"], ["--format", "csv", "-x", "extra"]],
@@ -716,11 +737,13 @@ class TestParserBuilding:
          "--format", "csv", "--quiet", "--meta"],
     ])
     def test_the_named_command_parses_as_with_every_command(self, argv):
-        # it has exactly the arguments it has when every command is built
+        # it has exactly the arguments it has when every command is built,
+        # and its own parser gives what the top-level parser gives
         parser = cli._build_parser(argv)
         assert self.arguments(parser)[argv[0]] == self.FULL[argv[0]]
-        assert set(vars(parser.parse_args(argv))) == {
-            *self.FULL[argv[0]], "command", "handler"} - {"help"}
+        args = vars(parser.parse_args(argv))
+        assert set(args) == {*self.FULL[argv[0]], "command", "handler"} - {"help"}
+        assert vars(cli._parse_args(argv)) == args
 
     @pytest.mark.parametrize("argv", [
         ["--quiet", "compute", "--complex-dim", "2", "--degrees", "4"],
@@ -736,18 +759,16 @@ class TestParserBuilding:
         assert self.arguments(cli._build_parser(argv)) == {
             name: self.FULL[name] if name == first else [] for name in self.FULL}
 
-    @pytest.mark.parametrize("command", list(FULL))
-    def test_both_shapes_print_the_same_top_level_usage(self, command):
-        # the usage that prefixes the top-level "unrecognized arguments" error
-        assert (cli._build_parser([command]).format_usage()
-                == cli._build_parser(["-x", command]).format_usage())
-
     @pytest.mark.parametrize("argv, built", [
-        (["compute", "--complex-dim", "2", "--degrees", "4", "--quiet"], 2),
+        # the command's own parser
+        (["compute", "--complex-dim", "2", "--degrees", "4", "--quiet"], 1),
+        # the top-level parser and one per registered command
         (["--quiet", "compute", "--complex-dim", "2", "--degrees", "4"], 6),
+        # the command's own parser, then the top-level parser and one per
+        # registered command to report the unrecognized argument
+        (["compute", "--complex-dim", "2", "--degrees", "4", "-x"], 7),
     ])
     def test_parsers_built_per_call(self, argv, built, monkeypatch, capsys):
-        # the top-level parser and one per registered command
         inits = []
         init = cli._ExitOneParser.__init__
 
