@@ -116,17 +116,13 @@ def _product_arguments(parser):
 
 
 # Each command's help line and the function that adds its own arguments.
-# Only the first argument naming a command can run, since argparse hands it
-# all that follows and an unknown flag before it takes no value: it alone
-# gets -h and its arguments, most of a parser's cost.  A line that starts
-# with its command is parsed by that command's parser alone; the top-level
-# parser is built only when something is left over, to report it as
-# unrecognized arguments.  Any other line registers every command by name
-# and help, from which argparse builds the top-level help, the
-# invalid-choice error and, naming it by the default metavar "command", the
-# missing-command error.  One parser kept for the whole process would cost
-# less still, but the benchmark keeps a sample per finished job, so its
-# extra jobs would read as peak memory past the 5% bound (ROADMAP item 1a).
+# A line that starts with its command is parsed by that command's parser
+# alone, since argparse hands the command all that follows it.  Any other
+# line, and one whose command leaves arguments over, is parsed by the
+# top-level parser with every command in full.  One parser kept for the
+# whole process would cost less, but the benchmark keeps a sample per
+# finished job, so its extra jobs would read as peak memory past the 5%
+# bound (ROADMAP item 1a).
 _COMMANDS = {
     "compute": ("bound report for one complete intersection", _compute_arguments),
     "table": ("emit a reference table", _table_arguments),
@@ -154,9 +150,8 @@ def _command_parser(command: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The top-level parser for the command line ``argv``."""
-    runs = next((arg for arg in argv if arg in _COMMANDS), None)
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with every command in full."""
     parser = _ExitOneParser(
         prog="rscount",
         description="Exact characteristic numbers of complete intersections "
@@ -164,9 +159,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_ExitOneParser)
     for name, (help_text, _) in _COMMANDS.items():
-        subparser = subparsers.add_parser(name, help=help_text, add_help=name == runs)
-        if name == runs:
-            _add_arguments(subparser, name)
+        _add_arguments(subparsers.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -179,8 +172,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         if not extras:
             args.command = argv[0]
             return args
-    # the top-level parser reports what is left over as unrecognized
-    return _build_parser(argv).parse_args(argv)
+    # any other line; for a leading one, the top-level parser reports what
+    # is left over as unrecognized
+    return _build_parser().parse_args(argv)
 
 
 def _report_dict(report: RSBoundReport, include_index: bool) -> dict:

@@ -559,9 +559,9 @@ class TestHelpText:
             assert stdout == "" and "required: --degrees" in stderr
 
 
-    # Help and error texts that argparse builds from every registered command,
-    # whose arguments and -h the parser adds only when the command runs: the
-    # bytes must not depend on which commands got them.
+    # Help and error texts, from a command's own parser on a line that starts
+    # with it and from the top-level parser on any other line: the bytes must
+    # be those of one parser with every command in full.
     @pytest.mark.parametrize("name, argv", [
         ("help", ["--help"]),
         ("help_before_command", ["-h", "compute"]),
@@ -691,7 +691,7 @@ class TestHelpText:
 
 
 class TestParserBuilding:
-    # each command's arguments, by destination, when it is the first named
+    # each command's arguments, by destination
     FULL = {
         "compute": ["help", "format", "quiet", "meta", "complex_dim", "degrees"],
         "table": ["help", "format", "quiet", "meta", "name", "max_n", "max_m"],
@@ -707,12 +707,31 @@ class TestParserBuilding:
         return {name: [action.dest for action in subparser._actions]
                 for name, subparser in subparsers.choices.items()}
 
-    @pytest.mark.parametrize("command", list(FULL))
-    def test_only_the_named_command_gets_its_arguments(self, command):
-        # every command by name, the first named in full, whatever other
-        # command names follow it
-        assert self.arguments(cli._build_parser([command, *self.FULL])) == {
-            name: self.FULL[name] if name == command else [] for name in self.FULL}
+    # a complete line of each command
+    LEADING = {
+        "compute": ["compute", "--complex-dim", "4", "--degrees", "6", "8"],
+        "table": ["table", "calabi-yau", "--max-m", "4"],
+        "verify": ["verify", "symmetric-poly", "--m", "3", "--r", "2"],
+        "search": ["search", "--complex-dim", "2", "--threshold", "100"],
+        "product": ["product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "1"],
+    }
+
+    @staticmethod
+    def parsers_built(argv, monkeypatch):
+        """The prog of each parser that cli.main builds on ``argv``."""
+        progs = []
+        init = cli._ExitOneParser.__init__
+
+        def counted(parser, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(parser, **kwargs)
+        monkeypatch.setattr(cli._ExitOneParser, "__init__", counted)
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+        return progs
+
+    def test_the_top_level_parser_has_every_command_in_full(self):
+        assert self.arguments(cli._build_parser()) == self.FULL
 
     @pytest.mark.parametrize("command", list(FULL))
     def test_a_commands_own_parser_has_exactly_its_arguments(self, command):
@@ -721,26 +740,19 @@ class TestParserBuilding:
         assert parser.prog == f"rscount {command}"
         assert [action.dest for action in parser._actions] == self.FULL[command]
 
-    @pytest.mark.parametrize("argv", [
-        [], ["--help"], ["-h"], ["--"], ["bogus"], ["--format", "csv", "-x", "extra"]],
-        ids=lambda argv: argv[0] if argv else "empty")
-    def test_with_no_command_named_no_command_has_arguments(self, argv):
-        assert self.arguments(cli._build_parser(argv)) == {name: [] for name in self.FULL}
+    @pytest.mark.parametrize("command", list(FULL))
+    def test_only_the_named_command_gets_its_arguments(self, command, monkeypatch, capsys):
+        # a line that starts with its command builds that command's parser alone
+        assert self.parsers_built(self.LEADING[command], monkeypatch) == [f"rscount {command}"]
 
     @pytest.mark.parametrize("argv", [
-        ["compute", "--complex-dim", "4", "--degrees", "6", "8"],
-        ["table", "calabi-yau", "--max-m", "4"],
-        ["verify", "symmetric-poly", "--m", "3", "--r", "2"],
-        ["search", "--complex-dim", "2", "--threshold", "100"],
-        ["product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "1"],
+        *LEADING.values(),
         ["compute", "--complex-dim", "2", "--degrees", "4",
          "--format", "csv", "--quiet", "--meta"],
     ])
     def test_the_named_command_parses_as_with_every_command(self, argv):
-        # it has exactly the arguments it has when every command is built,
-        # and its own parser gives what the top-level parser gives
-        parser = cli._build_parser(argv)
-        assert self.arguments(parser)[argv[0]] == self.FULL[argv[0]]
+        # its own parser gives what the top-level parser gives
+        parser = cli._build_parser()
         args = vars(parser.parse_args(argv))
         assert set(args) == {*self.FULL[argv[0]], "command", "handler"} - {"help"}
         assert vars(cli._parse_args(argv)) == args
@@ -751,34 +763,43 @@ class TestParserBuilding:
         ["bogus", "search", "product"],
         ["-x", "verify", "table", "compute"],
     ])
-    def test_the_first_command_named_has_exactly_its_arguments(self, argv):
-        # with something before the command, every command is registered for
-        # the help and errors argparse builds from them all; the first named
-        # is the only one that can run
+    def test_the_first_command_named_has_exactly_its_arguments(self, argv, monkeypatch,
+                                                               capsys):
+        # on any other line, argparse hands what follows the first command
+        # named to that command's parser and to no other, so that parser
+        # alone decides what the line prints
         first = next(arg for arg in argv if arg in self.FULL)
-        assert self.arguments(cli._build_parser(argv)) == {
-            name: self.FULL[name] if name == first else [] for name in self.FULL}
+        parsed = []
+        parse = cli._ExitOneParser.parse_known_args
+
+        def recorded(parser, *args):
+            parsed.append(parser)
+            return parse(parser, *args)
+        monkeypatch.setattr(cli._ExitOneParser, "parse_known_args", recorded)
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+        progs = [parser.prog for parser in parsed]
+        if argv[0] == "bogus":
+            # an invalid choice stops the line before any command
+            assert progs == ["rscount"]
+        else:
+            assert progs == ["rscount", f"rscount {first}"]
+            assert [action.dest for action in parsed[1]._actions] == self.FULL[first]
 
     @pytest.mark.parametrize("argv, built", [
         # the command's own parser
         (["compute", "--complex-dim", "2", "--degrees", "4", "--quiet"], 1),
-        # the top-level parser and one per registered command
+        # the top-level parser and one per command, for any other line
         (["--quiet", "compute", "--complex-dim", "2", "--degrees", "4"], 6),
         # the command's own parser, then the top-level parser and one per
-        # registered command to report the unrecognized argument
+        # command to report the unrecognized argument
         (["compute", "--complex-dim", "2", "--degrees", "4", "-x"], 7),
+        # any other line
+        (["--help"], 6),
+        (["bogus", "compute"], 6),
     ])
     def test_parsers_built_per_call(self, argv, built, monkeypatch, capsys):
-        inits = []
-        init = cli._ExitOneParser.__init__
-
-        def counted(parser, **kwargs):
-            inits.append(kwargs)
-            init(parser, **kwargs)
-        monkeypatch.setattr(cli._ExitOneParser, "__init__", counted)
-        with contextlib.suppress(SystemExit):
-            cli.main(argv)
-        assert len(inits) == built
+        assert len(self.parsers_built(argv, monkeypatch)) == built
 
 
 class TestGlobalFlags:
