@@ -1,12 +1,12 @@
 """Exact characteristic numbers of complete intersections in complex
 projective space, and the Rarita-Schwinger dimension bounds they imply.
 
-Everything is exact: the numbers come from a Riemann-Roch sum of binomials
-or, where a cost model prices it lower, like the characteristic polynomial,
-from a recurrence in the power sums of the degrees (``charclass``).  The truncated
-power series of ``rscount.series`` have no production caller and share no
-code with the package; they stay as the tests' independent oracle for the
-numbers, with a product, inversion, powers and argument scaling only.
+Everything is exact: the numbers come from a Riemann-Roch sum of binomials,
+and the characteristic polynomial from a recurrence in the power sums of the
+degrees (``charclass``).  The truncated power series of ``rscount.series``
+have no production caller and share no code with the package; they stay as
+the tests' independent oracle for the numbers, with a product, inversion,
+powers and argument scaling only.
 ``MultiPoly`` holds the polynomial: it is built from its terms and evaluated
 at exact points, and has no sum and no hash.
 """

@@ -8,12 +8,10 @@ restrict from the ambient space::
     ch(T^C M)  = 2*((m+r+1) cosh(h) - 1 - sum_j cosh(a_j h))
     A-hat(TM)  = ((h/2)/sinh(h/2))^{m+r+1} * prod_j sinh(a_j h/2)/(a_j h/2)
 
-with h the restricted hyperplane class.  Two routes pair these classes with
-the fundamental class [M].
+with h the restricted hyperplane class.
 
 The numbers ``char_number`` and ``a_hat_genus`` go by Riemann-Roch, in
-integer arithmetic, whenever that is the cheaper route.
-A-hat = Todd * e^{-c_1/2}, and in K-theory
+integer arithmetic.  A-hat = Todd * e^{-c_1/2}, and in K-theory
 T^C M = (m+r+1)(O(1) + O(-1)) - 2 O - sum_j (O(a_j) + O(-a_j)), so with
 t0 = -c_1/2 both numbers are signed sums of the Hilbert polynomial, which
 the Koszul resolution gives as
@@ -30,40 +28,37 @@ chi(t0 + s) = (-1)^m chi(t0 - s), folds the first sum onto its positive
 shifts.  t0 is an integer on spin inputs and a half-integer otherwise, where
 the sum runs over 2^n n! times each binomial, n = m + r, and divides each
 number once, at the end.  The sum has one term per distinct signed subset
-sum s, up to 2^r of them.  A cost model prices it, at r+2 binomials per
-term, against the power sums below before either runs; the cheaper route
-runs, and an input whose cheaper estimate is past MAX_ESTIMATED_SECONDS is
-refused.
+sum s, up to 2^r of them.  A cost model prices each term at r+2 binomials,
+and an input whose estimate is past MAX_ESTIMATED_SECONDS is refused before
+any binomial is computed.
 
-The power-sum route serves those numbers and the polynomial
-``char_number_polynomial``.  Pairing picks out the h^m coefficient times
-<h^m, [M]> = a_1...a_r, and that product of degrees cancels the sinh poles.
-With log(sinh(x/2)/(x/2)) = sum_k beta_k x^{2k}, beta_k = B_{2k}/(2k (2k)!)
+The polynomial ``char_number_polynomial`` goes by power sums.  Pairing
+picks out the h^m coefficient times <h^m, [M]> = a_1...a_r, and that
+product of degrees cancels the sinh poles.  With
+log(sinh(x/2)/(x/2)) = sum_k beta_k x^{2k}, beta_k = B_{2k}/(2k (2k)!)
 (Hirzebruch's multiplicative sequences), the degrees enter only through
 y_k = p_{2k} - (m+r+1), p_{2k} = sum_j a_j^{2k}:
 
     <A-hat(TM) ch(T^C M), [M]>
         = 2 a_1...a_r * coeff(h^m, E * (m - sum_k y_k h^{2k}/(2k)!)),
-    <A-hat(TM), [M]> = a_1...a_r * coeff(h^m, E),
     E = exp(sum_k beta_k y_k h^{2k}).
 
 The Bernoulli numbers come from the tangent numbers T_k, by Brent and
 Harvey's recurrence in integers (Fast computation of Bernoulli, Tangent and
 Secant numbers, arXiv:1108.0286): B_{2k} = (-1)^{k-1} 2k T_k / (4^k (4^k - 1)).
-For the numbers each y_k is an integer.  For the polynomial the
-coefficients are combinations of monomial symmetric polynomials m_lambda in
-a_1..a_r, on which only multiplication by a power sum is needed.  Both
-vanish for odd m, where every coefficient of odd order is zero.
-``rscount.series``, with no caller here, is the tests' oracle for the
-numbers by truncated power series; the tests check the polynomial against
-values of the Koszul sum.
+The coefficients are combinations of monomial symmetric polynomials
+m_lambda in a_1..a_r, on which only multiplication by a power sum is
+needed.  The polynomial vanishes for odd m, where every coefficient of odd
+order is zero.  ``rscount.series``, with no caller here, is the tests'
+oracle for the numbers by truncated power series; the tests check the
+polynomial against values of the Koszul sum.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, inf, lgamma, log, prod
@@ -79,33 +74,32 @@ from .rings import MultiPoly
 # MAX_ESTIMATED_SECONDS holds.
 MAX_COMPLEX_DIM = 80000
 
-# The cost model: each route's time in seconds in process, estimated from its
-# inputs before it runs; fitted on a 2-vCPU Xeon, CPython 3.11.7.
+# The cost model: each computation's time in seconds in process, estimated
+# from its inputs before it runs; fitted on a 2-vCPU Xeon, CPython 3.11.7.
 # - The Koszul sum: r+2 binomials per signed subset sum, each priced as the
 #   largest, C(x, k), k = min(n, x-n), or on non-spin inputs as the largest
 #   product of k = n odd factors (_number_bits), at _BINOMIAL_S plus
 #   _BINOMIAL_BIT_S * bits * k.  math.comb's time per bit*k measured 14 to
 #   47 ps from 5*10^4 bits on, where per bit^2 it spread from 0.3 to 20 ps;
 #   the low end serves, as most binomials of a sum are smaller than its largest.
-# - Power sums: (m/2)^2 steps, each _POWER_STEP_S plus _POWER_STEP_BIT_S * m
-#   * the bits of the largest degree, as their rationals grow with both.
-# - The polynomial: the same steps on each of its keys (_partition_count), at
-#   _KEY_STEP_S + _KEY_STEP_ORDER_S * m, and _TERM_S per expanded term
-#   (_expanded_terms).
-# Over even m = 2..120 and r = 4..12 distinct powers of two, spin and
-# non-spin, the cheaper estimate's route took 3.8% longer in all than the
-# faster route, where 3(m+2) sums, the earlier rule, took 28.5% longer.
-_BINOMIAL_S, _BINOMIAL_BIT_S = 0.75e-6, 20e-12
-_POWER_STEP_S, _POWER_STEP_BIT_S = 20e-6, 7e-9
+#   At small k the sum's own work per binomial dominates: at m <= 40,
+#   r = 8..16 and distinct degrees below 10^6, each binomial or product ran
+#   1.0 to 7.4 us, non-spin ones the dearest, which a fixed 0.75 us priced
+#   1.2 to 4.3 times low; at _BINOMIAL_S they run 0.28 to 1.6 times their price.
+# - The polynomial: (m/2)^2 steps of the power-sum recurrence on each of its
+#   keys (_partition_count), at _KEY_STEP_S + _KEY_STEP_ORDER_S * m, and
+#   _TERM_S per expanded term (_expanded_terms).
+_BINOMIAL_S, _BINOMIAL_BIT_S = 3.5e-6, 20e-12
 _KEY_STEP_S, _KEY_STEP_ORDER_S, _TERM_S = 1.5e-6, 28e-9, 4e-6
 
-# Largest estimate of the cheaper route, for the numbers and the polynomial;
-# past it the input is refused before any binomial or power sum is computed.
-# Admitted: `compute` at MAX_COMPLEX_DIM with degree m+4 (1.54 s estimated,
-# 0.5 s in process: six binomials priced as the one that takes 0.5 s) and
-# the (138, 1) polynomial (1.79 s, 1.3 to 1.6 s).  Refused: the (30, 8)
-# polynomial (2.28 s, 1.4 to 2.0 s) and m = 300 with degrees 2, 2, 4, ...,
-# 2^13, 10^12 (2.34 s, 1.2 to 1.6 s).
+# Largest estimate, for the numbers and the polynomial; past it the input is
+# refused before any binomial is computed or the recurrence runs.  Admitted:
+# `compute` at MAX_COMPLEX_DIM with degree m+4 (1.54 s estimated, 0.5 s in
+# process: six binomials priced as the one that takes 0.5 s) and the
+# (138, 1) polynomial (1.79 s, 1.3 to 1.6 s).  Refused: the (30, 8)
+# polynomial (2.28 s, 1.4 to 2.0 s) and m = 8 with 16 distinct degrees below
+# 10^6, refused at about 26500 of their 48816 to 65528 live sums, which the
+# Koszul sum runs in 1.5 to 3.9 s.
 MAX_ESTIMATED_SECONDS = 1.8
 
 
@@ -315,20 +309,23 @@ def _add_scaled(total: dict, scale: int | Fraction, combination: dict) -> None:
             total[key] = scale * c
 
 
-def _power_sum_pairings(m: int, times_y: Callable[[int, dict], dict]) -> tuple[dict, dict]:
-    """([h^m] E*(m - sum_k y_k h^{2k}/(2k)!), [h^m] E) with
-    E = exp(sum_k beta_k y_k h^{2k}), as linear combinations {key: c}.
+def _power_sum_pairings(m: int, r: int) -> dict:
+    """[h^m] E*(m - sum_k y_k h^{2k}/(2k)!) with E = exp(sum_k beta_k y_k h^{2k}),
+    as a combination {partition: c} of monomial symmetric polynomials in
+    a_1..a_r, where y_k = p_{2k} - (m+r+1).
 
-    The key () stands for 1, and times_y(k, c) multiplies c by y_k; that
-    step alone knows what the y_k are.  E runs by n*E_n = sum_k
-    (B_{2k}/(2k)!) y_k E_{n-2k}, from E' = (log E)' E, since
-    2k beta_k = B_{2k}/(2k)!.  For odd m every odd E_n is empty, so the
-    h^m coefficients come out zero.
+    The key () stands for 1.  E runs by n*E_n = sum_k (B_{2k}/(2k)!) y_k
+    E_{n-2k}, from E' = (log E)' E, since 2k beta_k = B_{2k}/(2k)!.  For odd m
+    every odd E_n is empty, so the h^m coefficient comes out zero.
     """
     ratios = _bernoulli_ratios(m)
     e = [{(): Fraction(1)}]
     for n in range(1, m + 1):
-        products = [times_y(k, e[n - 2 * k]) for k in range(1, n // 2 + 1)]
+        products = []
+        for k in range(1, n // 2 + 1):
+            product = _times_power_sum(2 * k, e[n - 2 * k], r)
+            _add_scaled(product, -(m + r + 1), e[n - 2 * k])
+            products.append(product)
         total = {}
         for k, product in enumerate(products, 1):
             # divided by n once per ratio rather than once per coefficient
@@ -338,19 +335,7 @@ def _power_sum_pairings(m: int, times_y: Callable[[int, dict], dict]) -> tuple[d
     charnum = {key: m * c for key, c in e[m].items()}
     for k, product in enumerate(products, 1):
         _add_scaled(charnum, Fraction(-1, factorial(2 * k)), product)
-    return charnum, e[m]
-
-
-def _power_sum_numbers(ci: CompleteIntersection) -> tuple[Fraction, Fraction]:
-    """The same pair as _riemann_roch_numbers, from the power sums of the
-    degrees: each y_k is an integer, so the combinations hold one key."""
-    m, degrees = ci.m, ci.degrees
-    y = [sum(a ** (2 * k) for a in degrees) - (m + len(degrees) + 1)
-         for k in range(m // 2 + 1)]
-    charnum, a_hat = _power_sum_pairings(
-        m, lambda k, combination: {key: y[k] * c for key, c in combination.items()})
-    zero = Fraction(0)
-    return 2 * prod(degrees) * charnum.get((), zero), prod(degrees) * a_hat.get((), zero)
+    return charnum
 
 
 def _number_bits(ci: CompleteIntersection) -> tuple[float, int]:
@@ -380,12 +365,6 @@ def _koszul_seconds_per_sum(ci: CompleteIntersection) -> float:
     return (ci.codimension + 2) * (_BINOMIAL_S + _BINOMIAL_BIT_S * bits * k)
 
 
-def _power_sum_seconds(ci: CompleteIntersection) -> float:
-    """Estimated time of the power-sum recurrence: (m/2)^2 steps."""
-    bits = max(ci.degrees).bit_length()
-    return (ci.m / 2) ** 2 * (_POWER_STEP_S + _POWER_STEP_BIT_S * ci.m * bits)
-
-
 def _require_budget(seconds: float, work: str) -> None:
     """Refuses ``work`` estimated to take ``seconds`` or more, past MAX_ESTIMATED_SECONDS."""
     if seconds > MAX_ESTIMATED_SECONDS:
@@ -394,35 +373,34 @@ def _require_budget(seconds: float, work: str) -> None:
 
 
 def _characteristic_numbers(ci: CompleteIntersection) -> tuple[int | Fraction, Fraction]:
-    """(char_number(ci), a_hat_genus(ci)) from one computation, by the Koszul
-    sum or by power sums, whichever the cost model prices lower.  Both are
+    """(char_number(ci), a_hat_genus(ci)) from one Koszul sum.  Both are
     zero for odd m, where every series in the pairing is even in h, and
     integers on spin inputs, else ArithmeticError signals a bug.
 
-    Raises InvalidInputError when the cheaper estimate is past
-    MAX_ESTIMATED_SECONDS, before any binomial or power sum is computed.
+    Raises InvalidInputError when the estimate of the sum's first r+1 signed
+    subset sums is past MAX_ESTIMATED_SECONDS, before any is formed, and
+    when its live sums pass that budget, before any binomial is computed.
     """
     if ci.m % 2:
         return 0, Fraction(0)
-    power_sums, per_sum = _power_sum_seconds(ci), _koszul_seconds_per_sum(ci)
+    per_sum = _koszul_seconds_per_sum(ci)
     work = f"complex dimension {ci.m} with these degrees"
     # prod_j (1 - z^{a_j}) has a root of order r at z = 1, so by Descartes' rule
     # of signs at least r+1 terms, whose time is checked before any is formed
-    _require_budget(min(per_sum * (ci.codimension + 1), power_sums),
-                    f"{work}, by the cheaper route")
-    # past this many sums the Koszul sum is the dearer route, or past the budget
-    limit = min(power_sums, MAX_ESTIMATED_SECONDS) / per_sum
+    _require_budget(per_sum * (ci.codimension + 1), work)
+    limit = MAX_ESTIMATED_SECONDS / per_sum
     numbers = _riemann_roch_numbers(ci, limit)
     if numbers is None:
-        _require_budget(power_sums, f"{work}, by power sums, the Koszul sum passing the "
-                                    f"budget at {int(limit) + 1} terms")
-        numbers = _power_sum_numbers(ci)
+        terms = int(limit) + 1
+        raise InvalidInputError(
+            f"{work}: an estimated {per_sum * terms:.3g} s or more at {terms} signed subset "
+            f"sums, past MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}")
     charnum, a_hat = numbers
     # on spin M both are indices, hence integers
     if is_spin(ci) and (charnum.denominator, a_hat.denominator) != (1, 1):
         raise ArithmeticError(
             f"characteristic numbers of spin {ci} came out non-integral ({charnum}, "
-            f"{a_hat}); this signals a bug in the Riemann-Roch sum or the power-sum route")
+            f"{a_hat}); this signals a bug in the Koszul sum")
     return (int(charnum) if charnum.denominator == 1 else charnum), Fraction(a_hat)
 
 
@@ -523,15 +501,8 @@ def char_number_polynomial(m: int, r: int) -> MultiPoly:
     _require_int(m, "dimension m", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
     _require_int(r, "codimension r", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
     _require_budget(_polynomial_seconds(m, r), "char_number_polynomial at this m and r")
-
-    def times_y(k: int, combination: dict) -> dict:
-        product = _times_power_sum(2 * k, combination, r)
-        _add_scaled(product, -(m + r + 1), combination)
-        return product
-
-    charnum, _ = _power_sum_pairings(m, times_y)
     terms = {}
-    for partition, c in charnum.items():
+    for partition, c in _power_sum_pairings(m, r).items():
         orbit = _orderings([v + 1 for v in partition] + [1] * (r - len(partition)))
         terms.update(dict.fromkeys(orbit, 2 * c))
     return MultiPoly(r, terms)

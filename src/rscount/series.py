@@ -2,7 +2,7 @@
 oracle for the characteristic numbers at given degrees.  A series stores
 the coefficients of h^0 .. h^N, N being its truncation order.  No
 production code calls this module and it imports none of the package, so
-``_integrand`` shares no code with either route of ``charclass``.  It stays
+``_integrand`` shares no code with the routes of ``charclass``.  It stays
 in the package while the benchmark's traced run names its methods.
 """
 

@@ -7,6 +7,7 @@ integrand.
 """
 
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, isfinite, prod
@@ -21,8 +22,7 @@ from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS, CompleteI
                                _bernoulli_ratios, _koszul_coefficients,
                                _koszul_seconds_per_sum, _number_bits,
                                _orderings, _partition_count,
-                               _polynomial_seconds, _power_sum_numbers,
-                               _power_sum_seconds, _riemann_roch_numbers,
+                               _polynomial_seconds, _riemann_roch_numbers,
                                _tree_product,
                                a_hat_genus, char_number,
                                char_number_polynomial, curvature_class,
@@ -168,9 +168,8 @@ def two_sided_koszul_sum(ci, coeffs):
 
 
 class TestRiemannRochRoute:
-    """char_number and a_hat_genus go by the Riemann-Roch sum or, past the
-    Koszul term limit, by power sums; the series integrand, which shares no
-    code with either, is the oracle for both."""
+    """char_number and a_hat_genus go by the Riemann-Roch sum; the series
+    integrand, which shares no code with it, is the oracle for both."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 16), st.lists(st.integers(1, 12), min_size=1, max_size=5))
@@ -187,7 +186,7 @@ class TestRiemannRochRoute:
         assert char_number(ci) == charnum
         assert type(a_hat_genus(ci)) is Fraction
         assert a_hat_genus(ci) == a_hat
-        # the Koszul sum itself, whichever route char_number took
+        # the Koszul sum itself, without the budget
         assert _riemann_roch_numbers(ci) == (charnum, a_hat)
 
     @settings(max_examples=150, deadline=None)
@@ -225,45 +224,32 @@ class TestRiemannRochRoute:
         assert 0 not in coeffs.values()
         assert _koszul_coefficients((2,) * 19 + (3,), 39) is None
 
-    @pytest.mark.parametrize("degrees", [
-        tuple(2**k for k in range(1, 10)),                  # non-spin
-        tuple(2**k for k in range(1, 9)) + (2**9 + 1,),     # spin
-    ])
-    def test_past_the_term_limit_the_series_route_answers(self, degrees):
-        # distinct powers of two have 2^9 distinct signed subset sums, past the
-        # count at which the Koszul sum's estimate passes the power sums'
-        ci = CompleteIntersection(2, degrees)
-        limit = _power_sum_seconds(ci) / _koszul_seconds_per_sum(ci)
-        assert _riemann_roch_numbers(ci, limit) is None
-        assert (char_number(ci), a_hat_genus(ci)) == _riemann_roch_numbers(ci)
-        assert char_number(ci) == 2 * prod(degrees) * _integrand(2, degrees)[2]
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 20), st.lists(st.integers(1, 24), min_size=5, max_size=12))
     @example(20, [2**k for k in range(1, 13)])              # non-spin, 4096 sums
     @example(12, [2, 4, 8, 16, 32, 65])                     # spin
     @example(7, [2, 3, 4, 5, 6])                            # odd m, non-spin
-    def test_power_sums_agree_with_the_koszul_sum_and_the_series(self, m, degrees):
-        # the route past the term limit, called directly at r = 5..12
+    def test_the_koszul_sum_agrees_with_the_series_at_r_5_to_12(self, m, degrees):
+        # up to 2^12 signed subset sums, called without the budget
         ci = CompleteIntersection(m, tuple(degrees))
         series = (2 * prod(degrees) * _integrand(m, degrees)[m],
                   prod(degrees) * _pole_free_a_hat(m, degrees)[m])
-        assert _power_sum_numbers(ci) == _riemann_roch_numbers(ci) == series
+        assert _riemann_roch_numbers(ci) == series
 
 
 class TestBudgets:
-    """Odd m is zero by parity before either route runs; even m, and the
-    polynomial, are refused when the cheaper route's estimate is past
-    MAX_ESTIMATED_SECONDS (see also tests/test_cli.py), before any binomial or
-    power sum is computed."""
+    """Odd m is zero by parity before the Koszul sum runs; even m, and the
+    polynomial, are refused when their estimate is past MAX_ESTIMATED_SECONDS
+    (see also tests/test_cli.py), before any binomial is computed or the
+    polynomial's recurrence runs."""
 
     BUDGET = f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}"
     DOMAIN = f"MAX_COMPLEX_DIM = {MAX_COMPLEX_DIM}"
 
     def test_odd_m_runs_neither_route(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("a route ran at odd m")
-        for name in ("_koszul_coefficients", "_riemann_roch_numbers", "_power_sum_numbers"):
+            raise AssertionError("the Koszul sum ran at odd m")
+        for name in ("_koszul_coefficients", "_riemann_roch_numbers"):
             monkeypatch.setattr(charclass, name, fail)
         ci = CompleteIntersection(801, tuple(2**k for k in range(1, 15)))
         assert (char_number(ci), a_hat_genus(ci)) == (0, 0)
@@ -275,7 +261,6 @@ class TestBudgets:
         (21, tuple(2**k for k in range(1, 10))),        # non-spin, 512 sums
     ])
     def test_odd_m_evaluates_no_binomial(self, m, degrees, monkeypatch):
-        # the last two go by power sums at m = 20
         calls = []
 
         def counted(function):
@@ -283,7 +268,7 @@ class TestBudgets:
                 calls.append(function.__name__)
                 return function(*args)
             return wrapper
-        for name in ("comb", "_tree_product", "_power_sum_pairings"):
+        for name in ("comb", "_tree_product"):
             monkeypatch.setattr(charclass, name, counted(getattr(charclass, name)))
         ci = CompleteIntersection(m, degrees)
         assert (char_number(ci), a_hat_genus(ci)) == (0, 0)
@@ -331,20 +316,19 @@ class TestBudgets:
             assert bits < largest.bit_length() + 2
 
     @pytest.mark.parametrize("m, degrees", [
-        # 2^15 signed subset sums, and power sums past the budget: 16 s
-        # estimated, 15 s cold with 10^100
+        # 10926 signed subset sums of binomials of about 10^5 bits: the
+        # Koszul sum passes the budget at 163 of them
         (300, (2, *(2**k for k in range(1, 14)), 10**100)),
         # non-spin: 2^n n! makes each term about 1.4 million bits, 3.4 s if
         # computed; past the budget already at r+1 = 2 sums
         (80000, (80003,)),
-        # the Koszul sum passes the budget at 1572 of its 2^15 sums, and power
-        # sums take an estimated 2.3 s, 1.2 to 1.6 s in process
+        # the Koszul sum passes the budget at 1510 of its 10926 sums
         (300, (2, *(2**k for k in range(1, 14)), 10**12))],
-        ids=["power sums", "non-spin", "term limit"])
+        ids=["degree-10^100", "non-spin", "term limit"])
     def test_work_past_the_budget_is_refused_before_either_route(self, m, degrees, monkeypatch):
         def fail(*args):
-            raise AssertionError("a route ran past the work budget")
-        for name in ("_folded_koszul_sum", "_power_sum_numbers"):
+            raise AssertionError("a binomial was formed past the work budget")
+        for name in ("_folded_koszul_sum", "comb", "_tree_product"):
             monkeypatch.setattr(charclass, name, fail)
         with pytest.raises(InvalidInputError, match=self.BUDGET):
             char_number(CompleteIntersection(m, degrees))
@@ -379,13 +363,36 @@ class TestBudgets:
         with pytest.raises(LookupError):
             char_number(CompleteIntersection(m, degrees))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_many_live_sums_at_small_k_are_refused(self, seed, monkeypatch):
+        # 16 distinct degrees below 10^6 at m = 8: 48816 to 65528 live sums,
+        # 1.5 to 3.9 s by the Koszul sum.  Each is refused at about 26.5k
+        # live sums, before any binomial or product is formed.
+        def fail(*args):
+            raise AssertionError("a binomial or product was formed past the work budget")
+        for name in ("comb", "_tree_product"):
+            monkeypatch.setattr(charclass, name, fail)
+        degrees = random.Random(seed).sample(range(2, 10**6), 16)
+        with pytest.raises(InvalidInputError, match=self.BUDGET):
+            char_number(CompleteIntersection(8, degrees))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200).map(lambda h: 2 * h),
+           st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+    @example(400, [10**6] * 8)              # non-spin: 0.21 s, the largest
+    @example(400, [10**6] * 7 + [999999])   # spin: 0.14 s
+    def test_every_input_up_to_r_8_is_admitted(self, m, degrees):
+        # 2^r signed subset sums at most, so no sum reaches the term limit
+        ci = CompleteIntersection(m, degrees)
+        assert _koszul_seconds_per_sum(ci) * 2 ** len(degrees) <= MAX_ESTIMATED_SECONDS
+
     def test_vanishing_binomials_count_toward_the_work(self, monkeypatch):
         # Fano, so every binomial is zero: 2002 signed subset sums, 2 s if
         # computed.  r+1 = 2002 sums of 2003 binomials are past the budget at
         # the cost of a call each, so none is formed.
         def fail(*args):
             raise AssertionError("the Koszul sum began past the work budget")
-        for name in ("_koszul_coefficients", "_riemann_roch_numbers", "_power_sum_numbers"):
+        for name in ("_koszul_coefficients", "_riemann_roch_numbers"):
             monkeypatch.setattr(charclass, name, fail)
         with pytest.raises(InvalidInputError, match=self.BUDGET):
             char_number(CompleteIntersection(80000, (2,) * 2001))
@@ -462,10 +469,7 @@ class TestBudgets:
         grown = list(degrees)
         grown[j % len(grown)] += 2 * growth
         wider = CompleteIntersection(m, tuple(grown))
-        higher = CompleteIntersection(m + 2 * growth, tuple(degrees))
         assert _koszul_seconds_per_sum(wider) >= _koszul_seconds_per_sum(ci)
-        assert _power_sum_seconds(wider) >= _power_sum_seconds(ci)
-        assert _power_sum_seconds(higher) >= _power_sum_seconds(ci)
         r = len(degrees)
         # the polynomial's estimate stops early past the budget, but only there
         larger = _polynomial_seconds(m + 2 * growth, r + more)
