@@ -11,15 +11,16 @@ remaining dimensions.
 ``find_degree_exceeding`` turns the unbounded growth of these numbers along
 hypersurfaces into a concrete degree.  The degree-a hypersurface's number
 P(a), which charclass's Koszul sum gives, provably increases in absolute value
-with a from m+4 on, so the search gallops and bisects on that sum in exact
-integers.  Thresholds are limited to THRESHOLD_DIGITS decimal digits.
+with a from m+4 on, so the search starts at an estimate of the answer from
+P's leading term, then brackets and bisects on that sum in exact integers.
+Thresholds are limited to THRESHOLD_DIGITS decimal digits.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
+from math import comb, exp, factorial, lgamma, log, log1p
 
 from .charclass import (MAX_COMPLEX_DIM, CompleteIntersection, CurvatureClass,
                         InvalidInputError, _characteristic_numbers, _folded_koszul_sum,
@@ -27,9 +28,9 @@ from .charclass import (MAX_COMPLEX_DIM, CompleteIntersection, CurvatureClass,
 
 # Decimal digits a threshold of find_degree_exceeding may have; 10^1000 is
 # the largest power of ten accepted.  It bounds the search's work and keeps
-# the answer printable: past the first degree tried, the answer's number is a
-# few times one not above the threshold, far inside the 4300 digits Python
-# converts to a string by default.
+# the answer printable: past a = m+4, the answer's number is a few times
+# one not above the threshold, far inside the 4300 digits Python converts to
+# a string by default.
 THRESHOLD_DIGITS = 1001
 _THRESHOLD_LIMIT = 10 ** THRESHOLD_DIGITS
 
@@ -163,10 +164,12 @@ def find_degree_exceeding(m: int, threshold: int) -> int:
     |characteristic number| > threshold.
 
     Even a gives a spin hypersurface; a > m+2 makes c_1 negative.  The
-    search gallops with doubling steps from a = m+4, then bisects, on the
-    hypersurface's number P(a), charclass's Serre-folded Koszul sum at
-    degrees (a,) and signed subset sums {0: 1, a: -1}.  Its answer is the
-    first degree past the threshold, as |P| strictly increases on even a >= m+4:
+    search starts at an estimate of the answer from P's leading term, steps
+    up or down from it with doubling steps until the answer is bracketed,
+    then bisects, on the hypersurface's number P(a), charclass's
+    Serre-folded Koszul sum at degrees (a,) and signed subset sums
+    {0: 1, a: -1}.  Its answer is the first degree past the threshold, as
+    |P| strictly increases on even a >= m+4:
 
     With n = m+1 (odd), k = (a+m)/2 and C(x, n) = -C(n-x-1, n) for x < 0, the
     fold is P = -2Q, Q(k) = C(k, n) + C(3k-m, n) - (m+2)*(C(k+1, n) + C(k-1, n)),
@@ -197,8 +200,10 @@ def degree_search_report(m: int, threshold: int) -> RSBoundReport:
 
 def _hypersurface_search(m: int, threshold: int) -> tuple[int, tuple[int, int]]:
     """(a, _folded_koszul_sum at a) for find_degree_exceeding's answer a, as
-    |P(a)| increases on the even a > m+2: gallop with doubling steps, then
-    bisect."""
+    |P(a)| increases on the even a > m+2: from _first_guess, gallop up or
+    down with doubling steps until lo < a <= hi, then bisect.  hi is
+    evaluated and past the threshold; lo is evaluated and not past it, or is
+    the unevaluated m+2."""
     _require_int(m, "m", 2, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM", even=True)
     _require_int(threshold, "threshold")
     if threshold >= _THRESHOLD_LIMIT:
@@ -207,18 +212,40 @@ def _hypersurface_search(m: int, threshold: int) -> tuple[int, tuple[int, int]]:
 
     def fold(a: int) -> tuple[int, int]:
         return _folded_koszul_sum(m, (a,), {0: 1, a: -1})
-    lo, step = m + 2, 2
-    while abs((found := fold(lo + step))[0]) <= threshold:
-        lo += step
-        step *= 2
-    hi = lo + step
-    while hi - lo > 2:
-        mid = lo + (hi - lo) // 4 * 2
-        if abs((numbers := fold(mid))[0]) > threshold:
-            hi, found = mid, numbers
+    lo, hi, step, a = m + 2, None, 2, _first_guess(m, threshold)
+    while True:
+        if abs((numbers := fold(a))[0]) > threshold:
+            hi, found = a, numbers
         else:
-            lo = mid
-    return hi, found
+            lo = a
+        if hi is not None and hi - lo <= 2:
+            return hi, found
+        # up from lo while nothing is past the threshold, else down from hi
+        # while that stays above the midpoint, which is bisection's probe
+        a = lo + step if hi is None else max(hi - step, lo + (hi - lo) // 4 * 2)
+        step *= 2
+
+
+def _first_guess(m: int, threshold: int) -> int:
+    """An even degree from m+4 near find_degree_exceeding's answer.
+
+    Centred at a/2 or 3a/2, P(a)'s binomials give |P(a)| ~
+    2(3^n - 2m - 3)(a/2)^n/n!, n = m+1, with no error term of first order in
+    n/a.  Solved for a/2 in logs; past 2^50, beyond a float's precision, by
+    integer Newton steps on (a/2)^n, where thresholds below
+    10^THRESHOLD_DIGITS keep n at most 71."""
+    n = m + 1
+    log_half = (log(threshold) + lgamma(n + 1) - log(2) - n * log(3)
+                - log1p(-(2 * m + 3) * 3.0 ** -n)) / n
+    if log_half < 50 * log(2):
+        half = int(exp(log_half))
+    else:
+        shift = int(log_half / log(2)) - 49
+        half = int(exp(log_half - shift * log(2))) << shift
+        target = threshold * factorial(n) // (2 * 3**n - 4 * m - 6)
+        while abs(step := (target // half ** (n - 1) - half) // n) > 1:
+            half += step
+    return max(m + 4, 2 * half + 2)
 
 
 def exceeds_torus(m: int) -> bool:

@@ -203,6 +203,8 @@ def test_criterion_9_cli_goldens():
         (("verify", "hypersurface-poly", "--m", "4"), "verify_hypersurface_poly_4.json"),
         (("verify", "symmetric-poly", "--m", "3", "--r", "2"), "verify_symmetric_poly_3_2.json"),
         (("search", "--complex-dim", "2", "--threshold", "100"), "search_m2_t100.json"),
+        # tests/test_rsbounds.py checks this golden on the four-binomial closed form of P(a)
+        (("search", "--complex-dim", "8", "--threshold", str(10**300)), "search_m8_t1e300.json"),
         (("product", "--complex-dim", "2", "--degrees", "6", "--torus-dim", "1"),
          "product_m2_d6_k1.json"),
         (("product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "2"),

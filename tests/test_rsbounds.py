@@ -1,11 +1,13 @@
 """Tests for the Rarita-Schwinger bound machinery and the reference tables."""
 
+import json
 import random
 from functools import cache
-from math import comb
+from math import comb, lgamma, log
 
 import pytest
-from hypothesis import given
+from conftest import golden
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rscount import charclass, rsbounds, verify
@@ -279,6 +281,39 @@ def linear_scan(m, threshold, value):
     return a
 
 
+def galloping_search(m, threshold):
+    """The reference search for answers the linear scan cannot reach:
+    (a, fold at a), galloping with doubling steps from a = m+2 whatever the
+    threshold, then bisecting, on search_number's fold."""
+    def fold(a):
+        return charclass._folded_koszul_sum(m, (a,), {0: 1, a: -1})
+    lo, step = m + 2, 2
+    while abs((found := fold(lo + step))[0]) <= threshold:
+        lo += step
+        step *= 2
+    hi = lo + step
+    while hi - lo > 2:
+        mid = lo + (hi - lo) // 4 * 2
+        if abs((numbers := fold(mid))[0]) > threshold:
+            hi, found = mid, numbers
+        else:
+            lo = mid
+    return hi, found
+
+
+@st.composite
+def boundary_thresholds(draw):
+    """(m, [|P(a)| - 1, |P(a)|, |P(a)| + 1] below 10^THRESHOLD_DIGITS) for
+    even m <= 1000 and an even degree a of log-uniform size, up to about
+    10^330, where |P(a)| ~ 2*3^n (a/2)^n/n! nears 10^1000."""
+    m = 2 * draw(st.integers(1, 500))
+    n = m + 1
+    digits = draw(st.integers(1, max(1, int((1000 + lgamma(n + 1) / log(10)) / n))))
+    a = 2 * draw(st.integers(max(10 ** (digits - 1), m + 4) // 2, 10**digits // 2 + m))
+    value = abs(four_binomial_number(m, a))
+    return m, [t for t in (value - 1, value, value + 1) if 1 <= t < 10**THRESHOLD_DIGITS]
+
+
 class TestDegreeSearch:
     def test_first_admissible_degree(self):
         assert find_degree_exceeding(2, 100) == 6
@@ -334,6 +369,50 @@ class TestDegreeSearch:
         assert evaluated == []
         assert abs(hypersurface_number(m, found)) > threshold
         assert abs(hypersurface_number(m, found - 2)) <= threshold
+
+    @settings(max_examples=80, deadline=None)
+    @given(boundary_thresholds())
+    def test_matches_the_galloping_search(self, case):
+        m, thresholds = case
+        for threshold in thresholds:
+            assert rsbounds._hypersurface_search(m, threshold) == galloping_search(m, threshold)
+
+    @pytest.mark.parametrize("m, threshold, most", [
+        (2, 10**1000, 8), (8, 10**300, 8), (40, 10**1000, 16), (1000, 10**1000, 19)],
+        ids=["2-10^1000", "8-10^300", "40-10^1000", "1000-10^1000"])
+    def test_evaluations_start_near_the_answer(self, m, threshold, most, monkeypatch):
+        # the galloping search makes 2213, 223, 167 and 19 evaluations of the fold
+        evaluated = []
+
+        def counted(m, degrees, coeffs):
+            evaluated.append(degrees[0])
+            return charclass._folded_koszul_sum(m, degrees, coeffs)
+        monkeypatch.setattr(rsbounds, "_folded_koszul_sum", counted)
+        assert find_degree_exceeding(m, threshold) == galloping_search(m, threshold)[0]
+        assert 0 < len(evaluated) <= most
+        assert all(a % 2 == 0 and a >= m + 4 for a in evaluated)
+
+    def test_threshold_1_takes_one_evaluation(self, monkeypatch):
+        # |P(a)| = 2Q(k) >= 2 at every even a >= m+4, so the fold is replaced
+        # by that least value, which threshold 1 is below
+        evaluated = []
+
+        def least(m, degrees, coeffs):
+            evaluated.append(degrees[0])
+            return -2, 1
+        monkeypatch.setattr(rsbounds, "_folded_koszul_sum", least)
+        for m in range(2, 8001, 2):
+            evaluated.clear()
+            assert find_degree_exceeding(m, 1) == m + 4
+            assert evaluated == [m + 4], m
+
+    def test_golden_at_10_to_300_is_the_four_binomial_answer(self):
+        result = json.loads(golden("search_m8_t1e300.json"))["result"]
+        a, charnum = result["degree"], int(result["charnum"])
+        assert (result["m"], result["threshold"]) == (8, str(10**300))
+        assert charnum == four_binomial_number(8, a) < 0
+        assert abs(four_binomial_number(8, a - 2)) <= 10**300 < -charnum
+        assert result["report"]["boundTotal"] == str(-charnum)
 
     def test_monotonicity_proof_inequalities(self):
         # the steps of find_degree_exceeding's proof, in integers, with
