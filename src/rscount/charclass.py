@@ -61,7 +61,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, inf, lgamma, log, prod
+from math import comb, factorial, lgamma, log, prod
 from operator import itemgetter
 
 from .rings import MultiPoly
@@ -211,19 +211,12 @@ def _koszul_coefficients(degrees: Sequence[int], limit: float) -> dict[int, int]
     return coeffs
 
 
-def _riemann_roch_numbers(ci: CompleteIntersection,
-                          limit: float = inf) -> tuple[int | Fraction, int | Fraction] | None:
-    """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>) by the Koszul sum, or
-    None as soon as more than ``limit`` signed subset sums are live."""
-    coeffs = _koszul_coefficients(ci.degrees, limit)
-    return None if coeffs is None else _folded_koszul_sum(ci.m, ci.degrees, coeffs)
-
-
 def _folded_koszul_sum(m: int, degrees: Sequence[int],
-                       coeffs: dict[int, int]) -> tuple[int | Fraction, int | Fraction]:
-    """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>), exactly: ints on spin
-    inputs and Fractions otherwise, for dimension m, the degrees and their
-    signed subset sums {s: c_s}.
+                       coeffs: dict[int, int]) -> tuple[int | Fraction, Fraction]:
+    """(<A-hat(TM) ch(T^C M), [M]>, <A-hat(TM), [M]>), exactly, for dimension
+    m, the degrees and their signed subset sums {s: c_s}: the first an int
+    when it is integral, as on spin inputs, else a Fraction, and the second
+    a Fraction.
 
     chi(M, O(t)) = sum_s c_s C(t - s + n, n) with n = m + r.  Serre duality
     gives chi(t0 + s) = (-1)^m chi(t0 - s), so for even m the sum folds to
@@ -238,7 +231,7 @@ def _folded_koszul_sum(m: int, degrees: Sequence[int],
     remainder from the odd part signals a wrong product: ArithmeticError.
     """
     if m % 2:
-        return 0, 0
+        return 0, Fraction(0)
     n = m + len(degrees)
     twice_t0 = sum(degrees) - n - 1
     spin = twice_t0 % 2 == 0
@@ -260,7 +253,7 @@ def _folded_koszul_sum(m: int, degrees: Sequence[int],
     a_hat = chi(0)
     charnum = 2 * ((n + 1) * chi(1) - a_hat - sum(chi(a) for a in degrees))
     if spin:
-        return charnum, a_hat
+        return charnum, Fraction(a_hat)
     twos = n - n.bit_count()
     odd, denominator = factorial(n) >> twos, 2 ** (n + twos)
     numbers = []
@@ -270,7 +263,8 @@ def _folded_koszul_sum(m: int, degrees: Sequence[int],
             raise ArithmeticError(f"a Koszul sum at n = {n} is not divisible by the odd "
                                   f"part of n!; this signals a bug in its products")
         numbers.append(Fraction(quotient, denominator))
-    return tuple(numbers)
+    charnum, a_hat = numbers
+    return (charnum.numerator if charnum.denominator == 1 else charnum), a_hat
 
 
 def _tree_product(factors: Sequence[int]) -> int:
@@ -373,9 +367,9 @@ def _require_budget(seconds: float, work: str) -> None:
 
 
 def _characteristic_numbers(ci: CompleteIntersection) -> tuple[int | Fraction, Fraction]:
-    """(char_number(ci), a_hat_genus(ci)) from one Koszul sum.  Both are
-    zero for odd m, where every series in the pairing is even in h, and
-    integers on spin inputs, else ArithmeticError signals a bug.
+    """(char_number(ci), a_hat_genus(ci)) from one Koszul sum, with the
+    types _folded_koszul_sum gives them.  Both are zero for odd m, where
+    every series in the pairing is even in h.
 
     Raises InvalidInputError when the estimate of the sum's first r+1 signed
     subset sums is past MAX_ESTIMATED_SECONDS, before any is formed, and
@@ -389,19 +383,13 @@ def _characteristic_numbers(ci: CompleteIntersection) -> tuple[int | Fraction, F
     # of signs at least r+1 terms, whose time is checked before any is formed
     _require_budget(per_sum * (ci.codimension + 1), work)
     limit = MAX_ESTIMATED_SECONDS / per_sum
-    numbers = _riemann_roch_numbers(ci, limit)
-    if numbers is None:
+    coeffs = _koszul_coefficients(ci.degrees, limit)
+    if coeffs is None:
         terms = int(limit) + 1
         raise InvalidInputError(
             f"{work}: an estimated {per_sum * terms:.3g} s or more at {terms} signed subset "
             f"sums, past MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}")
-    charnum, a_hat = numbers
-    # on spin M both are indices, hence integers
-    if is_spin(ci) and (charnum.denominator, a_hat.denominator) != (1, 1):
-        raise ArithmeticError(
-            f"characteristic numbers of spin {ci} came out non-integral ({charnum}, "
-            f"{a_hat}); this signals a bug in the Koszul sum")
-    return (int(charnum) if charnum.denominator == 1 else charnum), Fraction(a_hat)
+    return _folded_koszul_sum(ci.m, ci.degrees, coeffs)
 
 
 def char_number(ci: CompleteIntersection) -> int | Fraction:

@@ -193,12 +193,11 @@ def degree_search_report(m: int, threshold: int) -> RSBoundReport:
     """rs_lower_bound of the hypersurface of degree
     find_degree_exceeding(m, threshold), from the numbers the search computed
     at that degree; the same inputs are refused."""
-    degree, (charnum, a_hat) = _hypersurface_search(m, threshold)
-    # an even degree past m+2 is spin, with c_1 < 0: a spin fold's numbers are integers
-    return _report(CompleteIntersection(m, (degree,)), charnum, Fraction(a_hat))
+    degree, numbers = _hypersurface_search(m, threshold)
+    return _report(CompleteIntersection(m, (degree,)), *numbers)
 
 
-def _hypersurface_search(m: int, threshold: int) -> tuple[int, tuple[int, int]]:
+def _hypersurface_search(m: int, threshold: int) -> tuple[int, tuple[int, Fraction]]:
     """(a, _folded_koszul_sum at a) for find_degree_exceeding's answer a, as
     |P(a)| increases on the even a > m+2: from _first_guess, gallop up or
     down with doubling steps until lo < a <= hi, then bisect.  hi is
@@ -210,7 +209,7 @@ def _hypersurface_search(m: int, threshold: int) -> tuple[int, tuple[int, int]]:
         raise InvalidInputError(
             f"threshold has more than THRESHOLD_DIGITS = {THRESHOLD_DIGITS} decimal digits")
 
-    def fold(a: int) -> tuple[int, int]:
+    def fold(a: int) -> tuple[int, Fraction]:
         return _folded_koszul_sum(m, (a,), {0: 1, a: -1})
     lo, hi, step, a = m + 2, None, 2, _first_guess(m, threshold)
     while True:

@@ -11,8 +11,7 @@ from math import factorial
 
 from .charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS, CompleteIntersection,
                         _expanded_terms, _koszul_seconds_per_sum, _polynomial_seconds,
-                        _require_budget, _require_int, _riemann_roch_numbers,
-                        char_number_polynomial)
+                        _require_budget, _require_int, char_number, char_number_polynomial)
 from .rings import MultiPoly
 from .rsbounds import (cy_hypersurface_bound_closed_form, exceeds_torus,
                        hypersurface_char_number_closed_form, rs_lower_bound)
@@ -81,9 +80,9 @@ def _symmetric_poly_seconds(m: int, r: int) -> float:
 def symmetric_poly(m: int, r: int) -> list[tuple[str, bool]]:
     """Checks on the polynomial in a_1..a_r: zero for odd m, else symmetric,
     of degree m+1 in each a_i, the r = 1 polynomial at (a, 1, ..., 1), and
-    the Koszul sum, over every signed subset sum whatever the term limit, at
-    three integer points.  m and r run from 1 to MAX_COMPLEX_DIM; refused
-    past MAX_ESTIMATED_SECONDS before any work."""
+    char_number at three integer points, priced here so that its budget
+    never refuses them.  m and r run from 1 to MAX_COMPLEX_DIM; refused past
+    MAX_ESTIMATED_SECONDS before any work."""
     _require_int(m, "m", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
     _require_int(r, "r", 1, MAX_COMPLEX_DIM, "MAX_COMPLEX_DIM")
     _require_budget(_symmetric_poly_seconds(m, r), "symmetric_poly at this m and r")
@@ -100,5 +99,5 @@ def symmetric_poly(m: int, r: int) -> list[tuple[str, bool]]:
             ("specialization at (a,1,...,1) matches r=1", MultiPoly(1, specialized) == (
                 poly if r == 1 else char_number_polynomial(m, 1))),
             ("matches char_number at integer degrees",
-             all(poly.evaluate(list(ci.degrees)) == _riemann_roch_numbers(ci)[0]
+             all(poly.evaluate(list(ci.degrees)) == char_number(ci)
                  for ci in _integer_points(m, r)))]

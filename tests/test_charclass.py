@@ -10,7 +10,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, isfinite, prod
+from math import comb, factorial, inf, isfinite, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +22,7 @@ from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS, CompleteI
                                _bernoulli_ratios, _koszul_coefficients,
                                _koszul_seconds_per_sum, _number_bits,
                                _orderings, _partition_count,
-                               _polynomial_seconds, _riemann_roch_numbers,
+                               _polynomial_seconds,
                                _tree_product,
                                a_hat_genus, char_number,
                                char_number_polynomial, curvature_class,
@@ -150,6 +150,11 @@ class TestCharNumber:
         assert char_number(CompleteIntersection(4, (3, 3))) == F(-2527, 16)
 
 
+def koszul_numbers(ci):
+    """The folded Koszul sum over every signed subset sum, without the budget."""
+    return charclass._folded_koszul_sum(ci.m, ci.degrees, _koszul_coefficients(ci.degrees, inf))
+
+
 def two_sided_koszul_sum(ci, coeffs):
     """The Koszul sum without Serre duality, as the reference for its fold:
     (n+1)(chi(t0+1) + chi(t0-1)) - 2 chi(t0) - sum_j (chi(t0+a_j) + chi(t0-a_j))
@@ -187,7 +192,7 @@ class TestRiemannRochRoute:
         assert type(a_hat_genus(ci)) is Fraction
         assert a_hat_genus(ci) == a_hat
         # the Koszul sum itself, without the budget
-        assert _riemann_roch_numbers(ci) == (charnum, a_hat)
+        assert koszul_numbers(ci) == (charnum, a_hat)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 30), st.lists(st.integers(1, 12), min_size=1, max_size=6))
@@ -200,7 +205,7 @@ class TestRiemannRochRoute:
     def test_serre_fold_equals_the_two_sided_sum(self, m, degrees):
         ci = CompleteIntersection(m, tuple(degrees))
         every_sum = _koszul_coefficients(ci.degrees, 2 ** len(degrees))
-        assert _riemann_roch_numbers(ci) == two_sided_koszul_sum(ci, every_sum)
+        assert koszul_numbers(ci) == two_sided_koszul_sum(ci, every_sum)
 
     def test_a_product_the_odd_part_does_not_divide_raises(self, monkeypatch):
         # a cubic surface is non-spin, n = 3: a wrong product would floor to
@@ -234,7 +239,7 @@ class TestRiemannRochRoute:
         ci = CompleteIntersection(m, tuple(degrees))
         series = (2 * prod(degrees) * _integrand(m, degrees)[m],
                   prod(degrees) * _pole_free_a_hat(m, degrees)[m])
-        assert _riemann_roch_numbers(ci) == series
+        assert koszul_numbers(ci) == series
 
 
 class TestBudgets:
@@ -249,7 +254,7 @@ class TestBudgets:
     def test_odd_m_runs_neither_route(self, monkeypatch):
         def fail(*args):
             raise AssertionError("the Koszul sum ran at odd m")
-        for name in ("_koszul_coefficients", "_riemann_roch_numbers"):
+        for name in ("_koszul_coefficients", "_folded_koszul_sum"):
             monkeypatch.setattr(charclass, name, fail)
         ci = CompleteIntersection(801, tuple(2**k for k in range(1, 15)))
         assert (char_number(ci), a_hat_genus(ci)) == (0, 0)
@@ -392,7 +397,7 @@ class TestBudgets:
         # the cost of a call each, so none is formed.
         def fail(*args):
             raise AssertionError("the Koszul sum began past the work budget")
-        for name in ("_koszul_coefficients", "_riemann_roch_numbers"):
+        for name in ("_koszul_coefficients", "_folded_koszul_sum"):
             monkeypatch.setattr(charclass, name, fail)
         with pytest.raises(InvalidInputError, match=self.BUDGET):
             char_number(CompleteIntersection(80000, (2,) * 2001))
@@ -406,7 +411,7 @@ class TestBudgets:
         # 40 signed subset sums of 22 binomials of about 28000 bits, but
         # k = n = 2020: 0.05 to 0.08 s in process, which bits^2 priced past the budget
         ci = CompleteIntersection(2000, (10**6,) * 19 + (10**6 + 1,))
-        assert char_number(ci) == _riemann_roch_numbers(ci)[0]
+        assert char_number(ci) == koszul_numbers(ci)[0]
 
     @pytest.mark.parametrize("m, r", [
         (21, 2), (19, 3), (15, 4), (11, 5), (9, 6),     # the benchmark's largest
@@ -553,7 +558,7 @@ def koszul_polynomial(m, r):
         a = [v_i + 1 + i for i, v_i in enumerate(v, 1)]
         rows.append([sum(prod(a_i ** (2 * e) for a_i, e in zip(a, exponents))
                          for exponents in orbit) for orbit in orbits])
-        values.append(F(_riemann_roch_numbers(CompleteIntersection(m, a))[0]) / (2 * prod(a)))
+        values.append(F(koszul_numbers(CompleteIntersection(m, a))[0]) / (2 * prod(a)))
     return MultiPoly(r, {tuple(2 * e + 1 for e in exponents): 2 * c
                          for c, orbit in zip(solved(rows, values), orbits)
                          for exponents in orbit})
@@ -631,7 +636,7 @@ class TestCharNumberPolynomial:
     def test_evaluates_to_the_koszul_sum(self, m, degrees):
         ci = CompleteIntersection(m, tuple(degrees))
         value = char_number_polynomial(m, len(degrees)).evaluate([F(a) for a in degrees])
-        assert value == _riemann_roch_numbers(ci)[0]
+        assert value == koszul_numbers(ci)[0]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidInputError):

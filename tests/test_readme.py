@@ -10,6 +10,9 @@ import shlex
 import pytest
 from conftest import REPO_ROOT, polynomial_suite_edge, run_cli
 
+from rscount import verify
+from rscount.charclass import char_number
+
 
 def _section(title: str) -> str:
     readme = (REPO_ROOT / "README.md").read_text()
@@ -50,10 +53,11 @@ def test_budgets_quoted_in_the_cli_section_are_the_library_values():
     assert {(module, name) for module, name, *_ in quoted} == defined
 
 
-def test_polynomial_suite_edges_quoted_in_the_cli_section_are_the_cost_models():
-    """hypersurface-poly's "largest even `--m` is N", and symmetric-poly's
-    "largest even `--m` is N at `--r R`, ..." and "largest `--r` is N at
-    `--m M`, ...", each against the edge the cost model admits."""
+def _quoted_polynomial_suite_edges() -> dict[tuple[str, ...], int]:
+    """{argv: largest} from hypersurface-poly's "largest even `--m` is N",
+    and symmetric-poly's "largest even `--m` is N at `--r R`, ..." and
+    "largest `--r` is N at `--m M`, ...", with argv as polynomial_suite_edge
+    takes it."""
     section = " ".join(_section("CLI").split())
     hypersurface = re.search(r"`hypersurface-poly --m` has .*? largest even `--m` is (\d+)\.",
                              section)
@@ -62,9 +66,27 @@ def test_polynomial_suite_edges_quoted_in_the_cli_section_are_the_cost_models():
         for largest, fixed, value in re.findall(r"(\d+) at `(--[mr]) (\d+)`", edges):
             assert fixed != walked
             quoted[("symmetric-poly", fixed, value)] = int(largest)
+    return quoted
+
+
+def test_polynomial_suite_edges_quoted_in_the_cli_section_are_the_cost_models():
+    """Each quoted edge against the edge the cost model admits."""
+    quoted = _quoted_polynomial_suite_edges()
     assert len(quoted) == 10
     for argv, largest in quoted.items():
         assert polynomial_suite_edge(argv)[1] == largest, argv
+
+
+def test_char_number_admits_symmetric_poly_points_at_the_quoted_edges():
+    """symmetric-poly prices char_number at each of its three integer points
+    at a_1 + ... + a_r + 1 >= r + 1 signed subset sums, which covers the
+    budget's r + 1 floor and every live sum, so at each quoted edge none is
+    refused."""
+    for argv, largest in _quoted_polynomial_suite_edges().items():
+        if argv[0] == "symmetric-poly":
+            m, r = (largest, int(argv[2])) if argv[1] == "--r" else (int(argv[2]), largest)
+            for ci in verify._integer_points(m, r):
+                char_number(ci)  # InvalidInputError if the budget refused it
 
 
 def test_library_example_gives_its_commented_values(capsys):

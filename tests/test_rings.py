@@ -182,6 +182,15 @@ class TestMultiPolyArithmetic:
         with pytest.raises(ValueError):
             MultiPoly(num_vars)
 
+    @pytest.mark.parametrize("terms, shown", [
+        ({}, "0"),
+        ({(2, 1): 1, (0, 0): 3}, "a1^2*a2 + 3"),
+        ({(1, 0): -1}, "-a1"),
+        ({(0, 0): -7, (0, 2): 2, (1, 1): Fraction(-1, 2)}, "-1/2*a1*a2 + 2*a2^2 - 7")])
+    def test_str(self, terms, shown):
+        # by total degree, then lexicographically; unit coefficients drop their 1
+        assert str(MultiPoly(2, terms)) == shown
+
     def test_bool_is_not_a_constant(self):
         a = MultiPoly(1, {(1,): 1})
         with pytest.raises(ValueError):

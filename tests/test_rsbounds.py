@@ -356,8 +356,8 @@ class TestDegreeSearch:
         (2, 10**30), (2, 10**1000), (40, 10**1000), (1000, 10**1000)])
     def test_char_number_runs_only_at_scanned_degrees(self, m, threshold,
                                                        monkeypatch):
-        # the search scans by the closed form, so char_number's computation
-        # runs at no degree, nor for the report at the answer
+        # the search folds the Koszul sum itself, so the budgeted
+        # _characteristic_numbers runs at no degree, nor for the report at the answer
         evaluated = []
 
         def counted(ci):
