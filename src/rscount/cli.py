@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from . import __version__
 from .charclass import CompleteIntersection, InvalidInputError, _require_int
-from .charclass import char_number  # noqa: F401  (bench/test_bench.py traces it)
 from .output import FORMATS, render
 from .rsbounds import (RSBoundReport, TheoremInapplicableError,
                        cy_hypersurface_bound_closed_form, degree_search_report,

@@ -13,29 +13,6 @@ import json
 
 SCHEMA_VERSION = "rscount/1"
 
-FORMATS = ("json", "csv", "markdown")
-
-
-def render(command: str, result: dict, fmt: str, meta: dict | None = None) -> str:
-    if fmt == "json":
-        document = {"schema": SCHEMA_VERSION, "command": command, "result": result}
-        if meta is not None:
-            document["meta"] = meta
-        return json.dumps(document, indent=2) + "\n"
-    if fmt == "csv":
-        return _render_csv(result)
-    if fmt == "markdown":
-        return _render_markdown(result)
-    raise ValueError(f"unknown output format {fmt!r}")
-
-
-def _tabular(result: dict) -> list[dict] | None:
-    for key in ("rows", "checks"):
-        value = result.get(key)
-        if isinstance(value, list):
-            return value
-    return None
-
 
 def _flatten(record: dict, prefix: str = "") -> dict:
     flat: dict = {}
@@ -56,40 +33,46 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _records(result: dict) -> list[dict]:
-    rows = _tabular(result)
-    if rows is not None:
-        return [_flatten(row) for row in rows]
-    return [_flatten(result)]
-
-
-def _header(records: list[dict]) -> list[str]:
-    header: list[str] = []
-    for record in records:
-        for key in record:
-            if key not in header:
-                header.append(key)
-    return header
+def _table(result: dict) -> list[list[str]]:
+    """The header row, then one row of cells per record.  The records are the
+    result's ``rows`` or ``checks`` list, or else the result itself; nested
+    dicts become dotted columns, in the order their keys first appear."""
+    records = [result]
+    for key in ("rows", "checks"):
+        if isinstance(result.get(key), list):
+            records = result[key]
+            break
+    records = [_flatten(record) for record in records]
+    header = list(dict.fromkeys(key for record in records for key in record))
+    return [header] + [[_cell(record[key]) if key in record else "" for key in header]
+                       for record in records]
 
 
 def _render_csv(result: dict) -> str:
     import csv  # only this format needs it
-    records = _records(result)
-    header = _header(records)
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for record in records:
-        writer.writerow([_cell(record[k]) if k in record else "" for k in header])
+    csv.writer(buffer, lineterminator="\n").writerows(_table(result))
     return buffer.getvalue()
 
 
 def _render_markdown(result: dict) -> str:
-    records = _records(result)
-    header = _header(records)
-    lines = ["| " + " | ".join(header) + " |",
-             "| " + " | ".join("---" for _ in header) + " |"]
-    for record in records:
-        cells = [_cell(record[k]) if k in record else "" for k in header]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
+    header, *rows = _table(result)
+    return "".join("| " + " | ".join(cells) + " |\n"
+                   for cells in [header, ["---"] * len(header), *rows])
+
+
+# Every format but JSON prints the result as a table.
+_TABULAR = {"csv": _render_csv, "markdown": _render_markdown}
+
+FORMATS = ("json", *_TABULAR)
+
+
+def render(command: str, result: dict, fmt: str, meta: dict | None = None) -> str:
+    if fmt == "json":
+        document = {"schema": SCHEMA_VERSION, "command": command, "result": result}
+        if meta is not None:
+            document["meta"] = meta
+        return json.dumps(document, indent=2) + "\n"
+    if fmt not in _TABULAR:
+        raise ValueError(f"unknown output format {fmt!r}")
+    return _TABULAR[fmt](result)

@@ -1,5 +1,6 @@
-"""Shared test helpers: CLI subprocess runner, golden-file access and the
-edges of verify's polynomial suites."""
+"""Shared test helpers: CLI subprocess runner, golden-file access, the
+command lines of the result goldens and the edges of verify's polynomial
+suites."""
 
 import os
 import subprocess
@@ -27,6 +28,26 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text()
+
+
+# The command lines of the result goldens, which exit 0, each with its stem:
+# ``{stem}.json`` holds its stdout, and ``{stem}.csv`` and ``{stem}.md`` its
+# stdout with --format csv and --format markdown.
+RESULT_GOLDENS = [
+    (("compute", "--complex-dim", "2", "--degrees", "4"), "compute_k3"),
+    (("table", "parallel-spinors", "--max-n", "28"), "table_parallel_spinors_28"),
+    (("table", "calabi-yau", "--max-m", "30"), "table_calabi_yau_30"),
+    (("verify", "closed-form", "--max-m", "30"), "verify_closed_form_30"),
+    (("verify", "hypersurface-poly", "--m", "4"), "verify_hypersurface_poly_4"),
+    (("verify", "symmetric-poly", "--m", "3", "--r", "2"), "verify_symmetric_poly_3_2"),
+    (("search", "--complex-dim", "2", "--threshold", "100"), "search_m2_t100"),
+    # tests/test_rsbounds.py checks this golden on the four-binomial closed form of P(a)
+    (("search", "--complex-dim", "8", "--threshold", str(10**300)), "search_m8_t1e300"),
+    (("product", "--complex-dim", "2", "--degrees", "6", "--torus-dim", "1"),
+     "product_m2_d6_k1"),
+    (("product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "2"),
+     "product_m2_d4_k2"),
+]
 
 
 def polynomial_suite_edge(argv: tuple[str, ...]) -> tuple[str, int, int]:

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from conftest import golden, run_cli
+from conftest import RESULT_GOLDENS, golden, run_cli
 
 from rscount.charclass import (CompleteIntersection, a_hat_genus,
                                char_number, char_number_polynomial, rs_index)
@@ -195,24 +195,9 @@ def test_criterion_9_cli_goldens():
     started = time.perf_counter()
     ok = True
 
-    cases = [
-        (("compute", "--complex-dim", "2", "--degrees", "4"), "compute_k3.json"),
-        (("table", "parallel-spinors", "--max-n", "28"), "table_parallel_spinors_28.json"),
-        (("table", "calabi-yau", "--max-m", "30"), "table_calabi_yau_30.json"),
-        (("verify", "closed-form", "--max-m", "30"), "verify_closed_form_30.json"),
-        (("verify", "hypersurface-poly", "--m", "4"), "verify_hypersurface_poly_4.json"),
-        (("verify", "symmetric-poly", "--m", "3", "--r", "2"), "verify_symmetric_poly_3_2.json"),
-        (("search", "--complex-dim", "2", "--threshold", "100"), "search_m2_t100.json"),
-        # tests/test_rsbounds.py checks this golden on the four-binomial closed form of P(a)
-        (("search", "--complex-dim", "8", "--threshold", str(10**300)), "search_m8_t1e300.json"),
-        (("product", "--complex-dim", "2", "--degrees", "6", "--torus-dim", "1"),
-         "product_m2_d6_k1.json"),
-        (("product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "2"),
-         "product_m2_d4_k2.json"),
-    ]
-    for args, name in cases:
+    for args, stem in RESULT_GOLDENS:
         proc = run_cli(*args)
-        ok = ok and proc.returncode == 0 and proc.stdout == golden(name)
+        ok = ok and proc.returncode == 0 and proc.stdout == golden(f"{stem}.json")
 
     # exit-code contract: 0 success, 1 usage, 2 theorem-inapplicable
     ok = ok and run_cli("compute", "--complex-dim", "2", "--degrees", "5").returncode == 2

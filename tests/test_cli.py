@@ -3,7 +3,9 @@
 The result goldens were generated from paper-table and oracle literals, not
 from captured CLI output, so these tests pin both the byte-level schema and
 the numeric content.  The ``cli_*.json`` goldens are captured CLI output:
-the stdout, stderr and exit code of help and usage-error invocations.
+the stdout, stderr and exit code of help and usage-error invocations.  The
+``.csv`` and ``.md`` goldens are captured CLI output too: the stdout of the
+command lines of ``TABLE_GOLDENS`` with --format csv and --format markdown.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import gc
 import io
 import json
 import operator
+import random
 import shutil
 import sys
 from collections import Counter
@@ -20,7 +23,7 @@ from math import comb, prod
 from unittest import mock
 
 import pytest
-from conftest import golden, polynomial_suite_edge, run_cli
+from conftest import RESULT_GOLDENS, golden, polynomial_suite_edge, run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +33,17 @@ from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS,
 from rscount.output import FORMATS
 from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               hypersurface_char_number_closed_form)
+
+
+# The golden suffix of each table format, and the command lines whose stdout
+# in those formats is pinned: the result goldens' lines, a `;`-joined list
+# cell, and check names with commas, which CSV quotes.
+TABLE_SUFFIXES = {"csv": "csv", "markdown": "md"}
+TABLE_GOLDENS = [
+    *RESULT_GOLDENS,
+    (("compute", "--complex-dim", "2", "--degrees", "2", "3"), "compute_m2_d2_3"),
+    (("verify", "symmetric-poly", "--m", "4", "--r", "2"), "verify_symmetric_poly_4_2"),
+]
 
 
 class TestComputeCommand:
@@ -556,7 +570,7 @@ class TestHelpText:
     # Help and error texts, from a command's own parser on a line that starts
     # with it and from the top-level parser on any other line: the bytes must
     # be those of one parser with every command in full.
-    @pytest.mark.parametrize("name, argv", [
+    GOLDEN_LINES = [
         ("help", ["--help"]),
         ("help_before_command", ["-h", "compute"]),
         *((f"help_{command}", [command, "--help"])
@@ -585,7 +599,9 @@ class TestHelpText:
         ("leading_unknown_product", ["product", "--complex-dim", "2", "--degrees", "4",
                                      "--torus-dim", "1", "-x"]),
         ("leading_command_after_table", ["table", "calabi-yau", "--max-m", "2", "search"]),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name, argv", GOLDEN_LINES)
     def test_help_and_error_bytes(self, name, argv):
         proc = run_cli(*argv)
         captured = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
@@ -847,3 +863,30 @@ class TestGlobalFlags:
                        "--format", "csv")
         assert proc.returncode == 0
         assert "2;3" in proc.stdout
+
+    @pytest.mark.parametrize("fmt", TABLE_SUFFIXES)
+    @pytest.mark.parametrize("argv, stem", TABLE_GOLDENS)
+    def test_table_format_bytes(self, argv, stem, fmt):
+        proc = run_cli(*argv, "--format", fmt)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == golden(f"{stem}.{TABLE_SUFFIXES[fmt]}")
+
+
+def test_calls_in_one_process_leave_no_state_behind():
+    """cli.main, called in one process on every golden command line, twice
+    over and in a shuffled order, ends with each golden's exit code and writes
+    its stdout and stderr, as the benchmark's in-process calls rely on."""
+    lines = []
+    for name, argv in TestHelpText.GOLDEN_LINES:
+        captured = json.loads(golden(f"cli_{name}.json"))
+        lines.append((argv, (captured["exit"], captured["stdout"], captured["stderr"])))
+    for argv, stem in RESULT_GOLDENS:
+        lines.append((list(argv), (0, golden(f"{stem}.json"), "")))
+    for argv, stem in TABLE_GOLDENS:
+        for fmt, suffix in TABLE_SUFFIXES.items():
+            lines.append(([*argv, "--format", fmt], (0, golden(f"{stem}.{suffix}"), "")))
+    calls = lines * 2
+    random.Random(0).shuffle(calls)
+    for argv, expected in calls:
+        (_, code), stdout, stderr = TestHelpText.outcome(argv)
+        assert (code, stdout, stderr) == expected, argv

@@ -1,14 +1,15 @@
 """README's examples must run: each ``rscount ...`` line of the shell block
-in its CLI section exits 0, and the Python block of its Library section
-gives the values its comments state.  The budgets and the polynomial
-suites' edges its CLI section quotes are the library's."""
+in its CLI section exits 0, each command of its paper table prints the
+golden beside it, and the Python block of its Library section gives the
+values its comments state.  The budgets and the polynomial suites' edges its
+CLI section quotes are the library's."""
 
 import importlib
 import re
 import shlex
 
 import pytest
-from conftest import REPO_ROOT, polynomial_suite_edge, run_cli
+from conftest import GOLDEN_DIR, REPO_ROOT, polynomial_suite_edge, run_cli
 
 from rscount import verify
 from rscount.charclass import char_number
@@ -33,6 +34,25 @@ def test_example_exits_0(line):
     proc = run_cli(*shlex.split(line)[1:])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def _paper_table_commands() -> list[tuple[str, str]]:
+    """(command, golden) pairs of the paper table, in the order they appear
+    in each row."""
+    pairs = []
+    for row in re.findall(r"^\|(?!---)(.*)\|$", _section("Reproducing the paper"),
+                          re.MULTILINE)[1:]:
+        commands = re.findall(r"`(rscount [^`]*)`", row)
+        goldens = re.findall(r"`tests/goldens/([^`]*)`", row)
+        assert len(commands) == len(goldens) > 0, row
+        pairs += zip(commands, goldens)
+    return pairs
+
+
+@pytest.mark.parametrize("line, name", _paper_table_commands())
+def test_paper_table_command_prints_its_golden(line, name):
+    proc = run_cli(*shlex.split(line)[1:])
+    assert (proc.returncode, proc.stdout) == (0, (GOLDEN_DIR / name).read_text())
 
 
 def test_budgets_quoted_in_the_cli_section_are_the_library_values():
