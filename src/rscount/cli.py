@@ -15,7 +15,6 @@ rejects.  Any other exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 from fractions import Fraction
 
@@ -282,15 +281,6 @@ def _cmd_product(args) -> tuple[dict, int]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_args(argv)
-    # A command's own parser dies by reference count, but argparse leaves
-    # about 40 objects a call in reference cycles: a HelpFormatter and its
-    # _Section for each added argument, which add_argument makes to check the
-    # metavar, and a few lists and actions (and the parsers themselves when
-    # the top-level parser is built).  Collect them now, while they are young:
-    # otherwise, when main runs many times in one process, those that a
-    # collection caught alive pile up in the old generation until a full
-    # collection.
-    gc.collect(0)
     try:
         result, code = args.handler(args)
     except (InvalidInputError, TheoremInapplicableError) as exc:

@@ -13,6 +13,10 @@ import json
 
 SCHEMA_VERSION = "rscount/1"
 
+# json.dumps(document, indent=2)'s encoder, built once.  Each document is a
+# fresh tree of dicts and lists, so no circular-reference check is needed.
+_JSON = json.JSONEncoder(indent=2, check_circular=False)
+
 
 def _flatten(record: dict, prefix: str = "") -> dict:
     flat: dict = {}
@@ -72,7 +76,7 @@ def render(command: str, result: dict, fmt: str, meta: dict | None = None) -> st
         document = {"schema": SCHEMA_VERSION, "command": command, "result": result}
         if meta is not None:
             document["meta"] = meta
-        return json.dumps(document, indent=2) + "\n"
+        return _JSON.encode(document) + "\n"
     if fmt not in _TABULAR:
         raise ValueError(f"unknown output format {fmt!r}")
     return _TABULAR[fmt](result)

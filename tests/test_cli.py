@@ -5,7 +5,8 @@ from captured CLI output, so these tests pin both the byte-level schema and
 the numeric content.  The ``cli_*.json`` goldens are captured CLI output:
 the stdout, stderr and exit code of help and usage-error invocations.  The
 ``.csv`` and ``.md`` goldens are captured CLI output too: the stdout of the
-command lines of ``TABLE_GOLDENS`` with --format csv and --format markdown.
+command lines of ``TABLE_GOLDENS`` with --format csv and --format markdown,
+and so is ``compute_k3_meta.json``, the stdout of ``META_GOLDEN``'s line.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from conftest import RESULT_GOLDENS, golden, polynomial_suite_edge, run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rscount import charclass, cli, rsbounds, series, verify
+from rscount import charclass, cli, output, rsbounds, series, verify
 from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS,
                                CompleteIntersection, InvalidInputError, char_number)
 from rscount.output import FORMATS
@@ -44,6 +45,8 @@ TABLE_GOLDENS = [
     (("compute", "--complex-dim", "2", "--degrees", "2", "3"), "compute_m2_d2_3"),
     (("verify", "symmetric-poly", "--m", "4", "--r", "2"), "verify_symmetric_poly_4_2"),
 ]
+# A JSON document with a nested meta; it has no table goldens.
+META_GOLDEN = (("compute", "--complex-dim", "2", "--degrees", "4", "--meta"), "compute_k3_meta")
 
 
 class TestComputeCommand:
@@ -112,10 +115,21 @@ class TestComputeCommand:
         # one Koszul sum serves both numbers
         assert calls == {"_characteristic_numbers": 1, "koszul": 1}
 
-    def test_parser_is_freed_before_the_command_runs(self, capsys):
+    def test_calls_leave_no_parser_or_objects_behind(self, capsys):
+        # the collector, not main, frees each call's parser and its cycles
+        lines = [["compute", "--complex-dim", "4", "--degrees", "6"],
+                 ["product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "2"]]
+        assert cli.main(lines[0]) == 0
         gc.collect()
-        assert cli.main(["compute", "--complex-dim", "4", "--degrees", "6"]) == 0
         assert not any(isinstance(o, cli._ExitOneParser) for o in gc.get_objects())
+        counts = []
+        for call in range(2000):
+            assert cli.main(lines[call % 2]) == 0
+            if call % 200 == 199:
+                capsys.readouterr()
+                gc.collect()
+                counts.append(len(gc.get_objects()))
+        assert max(abs(count - counts[0]) for count in counts) <= 100, counts
 
     def test_many_equal_degrees(self, capsys):
         # 2^20 subsets of the degrees, but 40 distinct signed subset sums
@@ -837,6 +851,12 @@ class TestGlobalFlags:
         assert with_meta["result"] == plain["result"]
         assert "meta" not in plain
 
+    def test_meta_golden(self):
+        argv, stem = META_GOLDEN
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == golden(f"{stem}.json")
+
     def test_csv_format(self):
         proc = run_cli("table", "calabi-yau", "--max-m", "4", "--format", "csv")
         assert proc.stdout == "m,rsBound,torusRS\n2,38,12\n4,850,112\n"
@@ -880,7 +900,7 @@ def test_calls_in_one_process_leave_no_state_behind():
     for name, argv in TestHelpText.GOLDEN_LINES:
         captured = json.loads(golden(f"cli_{name}.json"))
         lines.append((argv, (captured["exit"], captured["stdout"], captured["stderr"])))
-    for argv, stem in RESULT_GOLDENS:
+    for argv, stem in [*RESULT_GOLDENS, META_GOLDEN]:
         lines.append((list(argv), (0, golden(f"{stem}.json"), "")))
     for argv, stem in TABLE_GOLDENS:
         for fmt, suffix in TABLE_SUFFIXES.items():
@@ -890,3 +910,26 @@ def test_calls_in_one_process_leave_no_state_behind():
     for argv, expected in calls:
         (_, code), stdout, stderr = TestHelpText.outcome(argv)
         assert (code, stdout, stderr) == expected, argv
+
+
+# JSON values as a result may hold them: strings with escapes, non-ASCII and
+# control characters, integers past 64 bits, bools, and nested containers,
+# empty ones included.
+_JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028𝄞a') | st.characters())
+_JSON_VALUES = st.recursive(
+    _JSON_TEXT | st.integers(-2**200, 2**200) | st.booleans(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=_JSON_TEXT,
+       result=st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5),
+       meta=st.none() | st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=3))
+def test_json_rendering_matches_json_dumps(command, result, meta):
+    document = {"schema": output.SCHEMA_VERSION, "command": command, "result": result}
+    if meta is not None:
+        document["meta"] = meta
+    expected = json.dumps(document, indent=2) + "\n"
+    assert output.render(command, result, "json", meta) == expected
+    assert output.render(command, result, "json", meta) == expected
