@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from gettext import gettext
 
 from . import __version__
 from .charclass import CompleteIntersection, InvalidInputError, _require_int
@@ -113,14 +114,14 @@ def _product_arguments(parser):
     parser.set_defaults(handler=_cmd_product)
 
 
-# Each command's help line and the function that adds its own arguments.
-# A line that starts with its command is parsed by that command's parser
-# alone, since argparse hands the command all that follows it.  Any other
-# line, and one whose command leaves arguments over, is parsed by the
-# top-level parser with every command in full.  One parser kept for the
-# whole process would cost less, but the benchmark keeps a sample per
-# finished job, so its extra jobs would read as peak memory past the 5%
-# bound (ROADMAP item 1a).
+# Each command's help line and the function that adds its own arguments;
+# -h and the output flags come from _COMMON.  A line that starts with its
+# command is parsed by that command's parser alone, since argparse hands the
+# command all that follows it.  Any other line, and one whose command leaves
+# arguments over, is parsed by the top-level parser with every command in
+# full.  Either parser is built per call; one kept for the whole process
+# would cost less, but the benchmark keeps a sample per finished job, so its
+# extra jobs would read as peak memory past the 5% bound (ROADMAP item 1a).
 _COMMANDS = {
     "compute": ("bound report for one complete intersection", _compute_arguments),
     "table": ("emit a reference table", _table_arguments),
@@ -130,21 +131,24 @@ _COMMANDS = {
     "product": ("bound for the product with a flat torus", _product_arguments)}
 
 
-def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
-    """Adds the output flags and the arguments of ``command`` to its parser."""
-    parser.add_argument("--format", choices=FORMATS, default="json",
-                        help="output format (default: json)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the stdout payload; rely on exit codes")
-    parser.add_argument("--meta", action="store_true",
-                        help="attach tool metadata to JSON output")
-    _COMMANDS[command][1](parser)
+# -h, in argparse's own words, and the output flags: built once, and shared
+# through ``parents`` by every command's parser, whose actions are these same
+# objects.  Parsing reads them and never changes them.
+_COMMON = argparse.ArgumentParser(add_help=False, formatter_class=_FixedWidthFormatter)
+_COMMON.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                     help=gettext("show this help message and exit"))
+_COMMON.add_argument("--format", choices=FORMATS, default="json",
+                     help="output format (default: json)")
+_COMMON.add_argument("--quiet", action="store_true",
+                     help="suppress the stdout payload; rely on exit codes")
+_COMMON.add_argument("--meta", action="store_true",
+                     help="attach tool metadata to JSON output")
 
 
 def _command_parser(command: str) -> argparse.ArgumentParser:
     """The parser of ``command`` alone, as the top-level parser builds it."""
-    parser = _ExitOneParser(prog=f"rscount {command}")
-    _add_arguments(parser, command)
+    parser = _ExitOneParser(prog=f"rscount {command}", add_help=False, parents=[_COMMON])
+    _COMMANDS[command][1](parser)
     return parser
 
 
@@ -156,8 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and the Rarita-Schwinger dimension bounds they imply.")
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_ExitOneParser)
-    for name, (help_text, _) in _COMMANDS.items():
-        _add_arguments(subparsers.add_parser(name, help=help_text), name)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(subparsers.add_parser(name, help=help_text, add_help=False,
+                                            parents=[_COMMON]))
     return parser
 
 

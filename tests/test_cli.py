@@ -11,6 +11,7 @@ and so is ``compute_k3_meta.json``, the stdout of ``META_GOLDEN``'s line.
 
 import argparse
 import contextlib
+import copy
 import gc
 import io
 import json
@@ -116,7 +117,10 @@ class TestComputeCommand:
         assert calls == {"_characteristic_numbers": 1, "koszul": 1}
 
     def test_calls_leave_no_parser_or_objects_behind(self, capsys):
-        # the collector, not main, frees each call's parser and its cycles
+        # the collector, not main, frees each call's parser and its cycles.
+        # argparse points each shared action of cli._COMMON at the group of
+        # the latest parser it was added to, so one call's group lives until
+        # the next call replaces it: a fixed number of objects, not a growing one
         lines = [["compute", "--complex-dim", "4", "--degrees", "6"],
                  ["product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "2"]]
         assert cli.main(lines[0]) == 0
@@ -713,6 +717,15 @@ class TestHelpText:
             expected = self.outcome(argv)
         assert self.outcome(argv) == expected
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_a_commands_own_parser_formats_as_with_every_command(self, command):
+        # the reference adds -h and the output flags itself, not from cli._COMMON
+        (subparsers,) = [action for action in self.every_command_in_full()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        reference, parser = subparsers.choices[command], cli._command_parser(command)
+        assert parser.format_help() == reference.format_help()
+        assert parser.format_usage() == reference.format_usage()
+
 
 class TestParserBuilding:
     # each command's arguments, by destination
@@ -809,6 +822,41 @@ class TestParserBuilding:
         else:
             assert progs == ["rscount", f"rscount {first}"]
             assert [action.dest for action in parsed[1]._actions] == self.FULL[first]
+
+    @staticmethod
+    def arguments_added(build, monkeypatch):
+        """How many add_argument calls ``build()`` makes."""
+        calls = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counted(container, *args, **kwargs):
+            calls.append(args)
+            return add_argument(container, *args, **kwargs)
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+        build()
+        return len(calls)
+
+    @pytest.mark.parametrize("command, own", [
+        ("compute", 2), ("table", 3), ("verify", 4), ("search", 2), ("product", 3)])
+    def test_a_call_adds_only_its_commands_own_arguments(self, command, own, monkeypatch,
+                                                         capsys):
+        # -h and the output flags are built once, at import
+        assert self.arguments_added(lambda: cli.main(self.LEADING[command]),
+                                    monkeypatch) == own
+
+    def test_the_top_level_parser_adds_its_help_and_each_commands_own(self, monkeypatch):
+        assert self.arguments_added(cli._build_parser, monkeypatch) == 1 + 14
+
+    def test_every_parser_shares_the_same_four_actions(self):
+        shared = cli._COMMON._actions
+        assert [action.dest for action in shared] == ["help", "format", "quiet", "meta"]
+        (subparsers,) = [action for action in cli._build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        for command in self.FULL:
+            for parser in (cli._command_parser(command), subparsers.choices[command]):
+                assert len(parser._actions) == len(self.FULL[command])
+                assert all(mine is common
+                           for mine, common in zip(parser._actions[:4], shared, strict=True))
 
     @pytest.mark.parametrize("argv, built", [
         # the command's own parser
@@ -910,6 +958,39 @@ def test_calls_in_one_process_leave_no_state_behind():
     for argv, expected in calls:
         (_, code), stdout, stderr = TestHelpText.outcome(argv)
         assert (code, stdout, stderr) == expected, argv
+
+
+# What parsing could change in an action of cli._COMMON, read at import,
+# before any test has parsed a line.
+_ACTION_ATTRIBUTES = ("option_strings", "dest", "default", "choices", "required",
+                      "nargs", "const", "help")
+
+
+def _shared_actions():
+    return copy.deepcopy([{name: getattr(action, name) for name in _ACTION_ATTRIBUTES}
+                          for action in cli._COMMON._actions])
+
+
+_SHARED_AT_IMPORT = _shared_actions()
+
+
+def test_calls_leave_the_shared_flags_as_they_were():
+    """-h and the output flags are built once and shared by every parser:
+    no call changes them, whatever flags it passes and however it ends."""
+    for argv in (["compute", "--complex-dim", "2", "--degrees", "4", "--format", "csv"],
+                 ["search", "--complex-dim", "2", "--threshold", "100", "--quiet", "--meta"],
+                 ["--format", "markdown", "table", "calabi-yau", "--max-m", "2"],
+                 ["--meta", "--quiet", "product", "--complex-dim", "2", "--degrees", "4",
+                  "--torus-dim", "1"],
+                 ["-h"], ["verify", "-h"], ["compute", "--help"],
+                 ["compute", "--complex-dim", "2", "--degrees", "4", "--format", "xml"],
+                 ["compute", "--complex-dim", "2"], ["verify", "closed-form", "-x"],
+                 ["search", "--complex-dim", "2", "--threshold", "1", "extra"],
+                 ["bogus"], []):
+        TestHelpText.outcome(argv)
+    assert _shared_actions() == _SHARED_AT_IMPORT
+    args = cli._parse_args(["compute", "--complex-dim", "2", "--degrees", "4"])
+    assert (args.format, args.quiet, args.meta) == ("json", False, False)
 
 
 # JSON values as a result may hold them: strings with escapes, non-ASCII and
