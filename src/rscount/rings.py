@@ -57,13 +57,6 @@ class MultiPoly:
         self.num_vars = num_vars
         self.terms = clean
 
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exponents) for exponents in self.terms)
-
     def variable_degree(self, index: int) -> int:
         """Degree in the single variable ``index``; -1 for the zero polynomial."""
         # bool is an int subclass, but True is not a variable index
@@ -72,13 +65,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(exponents[index] for exponents in self.terms)
-
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        """Coefficient of the given monomial (0 if absent).  The exponent
-        vector is checked as the constructor checks it, on a one-term
-        polynomial."""
-        (key,) = MultiPoly(self.num_vars, {tuple(exponents): 1}).terms
-        return self.terms.get(key, Fraction(0))
 
     def evaluate(self, values: Sequence) -> Fraction:
         """Evaluate at a point of ints and Fractions.  Exact, and

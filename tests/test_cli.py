@@ -1,12 +1,14 @@
-"""End-to-end CLI tests: golden JSON output, exit codes, formats.
+"""End-to-end CLI tests: golden output, exit codes, formats.
 
-The result goldens were generated from paper-table and oracle literals, not
-from captured CLI output, so these tests pin both the byte-level schema and
-the numeric content.  The ``cli_*.json`` goldens are captured CLI output:
-the stdout, stderr and exit code of help and usage-error invocations.  The
-``.csv`` and ``.md`` goldens are captured CLI output too: the stdout of the
-command lines of ``TABLE_GOLDENS`` with --format csv and --format markdown,
-and so is ``compute_k3_meta.json``, the stdout of ``META_GOLDEN``'s line.
+Each file in tests/goldens/ is checked by ``test_golden_bytes`` against the
+command line that ``conftest.GOLDENS`` lists for its stem, by the one rule of
+``conftest.golden_case``, which reads the expected outcome from the file's
+name.  The result goldens' JSON was generated from paper-table and oracle
+literals, not from captured CLI output, so those files pin both the
+byte-level schema and the numeric content.  The ``cli_*.json`` goldens are
+captured CLI output: the stdout, stderr and exit code of help and
+usage-error invocations.  So are the ``.csv`` and ``.md`` goldens and
+``compute_k3_meta.json``.
 """
 
 import argparse
@@ -22,10 +24,12 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import RESULT_GOLDENS, golden, polynomial_suite_edge, run_cli
+from conftest import (GOLDEN_FILES, GOLDENS, golden, golden_case, polynomial_suite_edge,
+                      run_cli)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,25 +41,7 @@ from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               hypersurface_char_number_closed_form)
 
 
-# The golden suffix of each table format, and the command lines whose stdout
-# in those formats is pinned: the result goldens' lines, a `;`-joined list
-# cell, and check names with commas, which CSV quotes.
-TABLE_SUFFIXES = {"csv": "csv", "markdown": "md"}
-TABLE_GOLDENS = [
-    *RESULT_GOLDENS,
-    (("compute", "--complex-dim", "2", "--degrees", "2", "3"), "compute_m2_d2_3"),
-    (("verify", "symmetric-poly", "--m", "4", "--r", "2"), "verify_symmetric_poly_4_2"),
-]
-# A JSON document with a nested meta; it has no table goldens.
-META_GOLDEN = (("compute", "--complex-dim", "2", "--degrees", "4", "--meta"), "compute_k3_meta")
-
-
 class TestComputeCommand:
-    def test_k3_golden(self):
-        proc = run_cli("compute", "--complex-dim", "2", "--degrees", "4")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("compute_k3.json")
-
     def test_non_spin_exits_2(self):
         proc = run_cli("compute", "--complex-dim", "2", "--degrees", "5")
         assert proc.returncode == 2
@@ -206,21 +192,6 @@ class TestErrorReporting:
 
 
 class TestTableCommand:
-    def test_parallel_spinors_golden(self):
-        proc = run_cli("table", "parallel-spinors", "--max-n", "28")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("table_parallel_spinors_28.json")
-
-    def test_calabi_yau_golden(self):
-        proc = run_cli("table", "calabi-yau", "--max-m", "30")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("table_calabi_yau_30.json")
-
-    def test_calabi_yau_single_row(self):
-        proc = run_cli("table", "calabi-yau", "--max-m", "2")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("table_calabi_yau_2.json")
-
     def test_invalid_ranges_exit_1(self):
         assert run_cli("table", "calabi-yau", "--max-m", "3").returncode == 1
         assert run_cli("table", "parallel-spinors", "--max-n", "0").returncode == 1
@@ -229,27 +200,6 @@ class TestTableCommand:
 
 
 class TestVerifyCommand:
-    def test_closed_form_golden(self):
-        proc = run_cli("verify", "closed-form", "--max-m", "30")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("verify_closed_form_30.json")
-
-    def test_hypersurface_poly_golden(self):
-        proc = run_cli("verify", "hypersurface-poly", "--m", "4")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("verify_hypersurface_poly_4.json")
-
-    def test_symmetric_poly_odd_m_golden(self):
-        proc = run_cli("verify", "symmetric-poly", "--m", "3", "--r", "2")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("verify_symmetric_poly_3_2.json")
-        assert "identically zero (odd m)" in proc.stdout
-
-    def test_torus_inequality_golden(self):
-        proc = run_cli("verify", "torus-inequality", "--max-m", "10")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("verify_torus_inequality_10.json")
-
     def test_symmetric_poly_even_m(self):
         proc = run_cli("verify", "symmetric-poly", "--m", "2", "--r", "3")
         assert proc.returncode == 0
@@ -314,16 +264,6 @@ class TestTableAndSuiteFlags:
 
 
 class TestSearchCommand:
-    def test_threshold_100_golden(self):
-        proc = run_cli("search", "--complex-dim", "2", "--threshold", "100")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("search_m2_t100.json")
-
-    def test_threshold_1_golden(self):
-        proc = run_cli("search", "--complex-dim", "2", "--threshold", "1")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("search_m2_t1.json")
-
     def test_odd_dimension_exits_1(self):
         proc = run_cli("search", "--complex-dim", "3", "--threshold", "1")
         assert proc.returncode == 1
@@ -371,21 +311,14 @@ class TestSearchCommand:
             assert proc.returncode == 1
             assert proc.stdout == ""
             assert f"THRESHOLD_DIGITS = {THRESHOLD_DIGITS}" in proc.stderr
+        # past that, argparse's int refuses the value before the search sees it
+        proc = run_cli("search", "--complex-dim", "2", "--threshold", "9" * 4301)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "argument --threshold: invalid int value:" in proc.stderr
 
 
 class TestProductCommand:
-    def test_sextic_times_circle_golden(self):
-        proc = run_cli("product", "--complex-dim", "2", "--degrees", "6",
-                       "--torus-dim", "1")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("product_m2_d6_k1.json")
-
-    def test_k3_times_two_torus_golden(self):
-        proc = run_cli("product", "--complex-dim", "2", "--degrees", "4",
-                       "--torus-dim", "2")
-        assert proc.returncode == 0
-        assert proc.stdout == golden("product_m2_d4_k2.json")
-
     def test_zero_torus_factor_keeps_base_bound(self):
         proc = run_cli("product", "--complex-dim", "2", "--degrees", "6",
                        "--torus-dim", "0")
@@ -583,47 +516,6 @@ class TestHelpText:
         assert max(map(len, text.splitlines())) <= 78
         if code:
             assert stdout == "" and "required: --degrees" in stderr
-
-
-    # Help and error texts, from a command's own parser on a line that starts
-    # with it and from the top-level parser on any other line: the bytes must
-    # be those of one parser with every command in full.
-    GOLDEN_LINES = [
-        ("help", ["--help"]),
-        ("help_before_command", ["-h", "compute"]),
-        *((f"help_{command}", [command, "--help"])
-          for command in ("compute", "table", "verify", "search", "product")),
-        ("no_command", []),
-        ("unknown_command", ["bogus"]),
-        ("missing_flag", ["compute", "--complex-dim", "2"]),
-        ("unknown_flag", ["compute", "--bogus"]),
-        ("double_dash", ["--", "compute", "--complex-dim", "2", "--degrees", "4"]),
-        ("extra_positional", ["search", "--complex-dim", "2", "--threshold", "1", "extra"]),
-        # a named command's extra argument prints the top-level usage
-        ("extra_compute", ["compute", "--degrees", "4", "--complex-dim", "2", "extra"]),
-        ("extra_product", ["product", "--complex-dim", "2", "--degrees", "4",
-                           "--torus-dim", "1", "extra"]),
-        ("extra_table", ["table", "calabi-yau", "--max-m", "2", "extra"]),
-        ("extra_verify", ["verify", "closed-form", "--max-m", "2", "extra"]),
-        # a command named after the first argument
-        ("quiet_before_command", ["--quiet", "compute", "--complex-dim", "2", "--degrees", "4"]),
-        ("unknown_flag_before_table", ["-x", "table", "calabi-yau", "--max-m", "2"]),
-        ("format_before_search", ["--format", "csv", "search", "--complex-dim", "2",
-                                  "--threshold", "1"]),
-        ("unknown_flag_before_help", ["-x", "compute", "-h"]),
-        ("unknown_before_command", ["bogus", "compute"]),
-        # a line that starts with its command and ends in something unrecognized
-        ("leading_unknown_verify", ["verify", "closed-form", "--max-m", "2", "--bogus"]),
-        ("leading_unknown_product", ["product", "--complex-dim", "2", "--degrees", "4",
-                                     "--torus-dim", "1", "-x"]),
-        ("leading_command_after_table", ["table", "calabi-yau", "--max-m", "2", "search"]),
-    ]
-
-    @pytest.mark.parametrize("name, argv", GOLDEN_LINES)
-    def test_help_and_error_bytes(self, name, argv):
-        proc = run_cli(*argv)
-        captured = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
-        assert captured == json.loads(golden(f"cli_{name}.json"))
 
     @staticmethod
     def every_command_in_full():
@@ -899,12 +791,6 @@ class TestGlobalFlags:
         assert with_meta["result"] == plain["result"]
         assert "meta" not in plain
 
-    def test_meta_golden(self):
-        argv, stem = META_GOLDEN
-        proc = run_cli(*argv)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == golden(f"{stem}.json")
-
     def test_csv_format(self):
         proc = run_cli("table", "calabi-yau", "--max-m", "4", "--format", "csv")
         assert proc.stdout == "m,rsBound,torusRS\n2,38,12\n4,850,112\n"
@@ -932,28 +818,25 @@ class TestGlobalFlags:
         assert proc.returncode == 0
         assert "2;3" in proc.stdout
 
-    @pytest.mark.parametrize("fmt", TABLE_SUFFIXES)
-    @pytest.mark.parametrize("argv, stem", TABLE_GOLDENS)
-    def test_table_format_bytes(self, argv, stem, fmt):
-        proc = run_cli(*argv, "--format", fmt)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == golden(f"{stem}.{TABLE_SUFFIXES[fmt]}")
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_golden_bytes(name):
+    """The golden's line, run as a user runs it, ends with the exit code,
+    stdout and stderr that the golden's name and bytes give."""
+    argv, expected = golden_case(name)
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_every_golden_line_has_a_file():
+    assert {Path(name).stem for name in GOLDEN_FILES} == set(GOLDENS)
 
 
 def test_calls_in_one_process_leave_no_state_behind():
-    """cli.main, called in one process on every golden command line, twice
+    """cli.main, called in one process on every golden's command line, twice
     over and in a shuffled order, ends with each golden's exit code and writes
     its stdout and stderr, as the benchmark's in-process calls rely on."""
-    lines = []
-    for name, argv in TestHelpText.GOLDEN_LINES:
-        captured = json.loads(golden(f"cli_{name}.json"))
-        lines.append((argv, (captured["exit"], captured["stdout"], captured["stderr"])))
-    for argv, stem in [*RESULT_GOLDENS, META_GOLDEN]:
-        lines.append((list(argv), (0, golden(f"{stem}.json"), "")))
-    for argv, stem in TABLE_GOLDENS:
-        for fmt, suffix in TABLE_SUFFIXES.items():
-            lines.append(([*argv, "--format", fmt], (0, golden(f"{stem}.{suffix}"), "")))
-    calls = lines * 2
+    calls = [golden_case(name) for name in GOLDEN_FILES] * 2
     random.Random(0).shuffle(calls)
     for argv, expected in calls:
         (_, code), stdout, stderr = TestHelpText.outcome(argv)

@@ -1,15 +1,15 @@
 """README's examples must run: each ``rscount ...`` line of the shell block
-in its CLI section exits 0, each command of its paper table prints the
-golden beside it, and the Python block of its Library section gives the
-values its comments state.  The budgets and the polynomial suites' edges its
-CLI section quotes are the library's."""
+in its CLI section exits 0, each command of its paper table is the line that
+``conftest.GOLDENS`` lists for the golden beside it, and the Python block of
+its Library section gives the values its comments state.  The budgets and
+the polynomial suites' edges its CLI section quotes are the library's."""
 
 import importlib
 import re
 import shlex
 
 import pytest
-from conftest import GOLDEN_DIR, REPO_ROOT, polynomial_suite_edge, run_cli
+from conftest import REPO_ROOT, golden_case, polynomial_suite_edge, run_cli
 
 from rscount import verify
 from rscount.charclass import char_number
@@ -51,8 +51,8 @@ def _paper_table_commands() -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("line, name", _paper_table_commands())
 def test_paper_table_command_prints_its_golden(line, name):
-    proc = run_cli(*shlex.split(line)[1:])
-    assert (proc.returncode, proc.stdout) == (0, (GOLDEN_DIR / name).read_text())
+    # test_golden_bytes runs the golden's line and checks what it prints
+    assert shlex.split(line)[1:] == golden_case(name)[0]
 
 
 def test_budgets_quoted_in_the_cli_section_are_the_library_values():
