@@ -33,6 +33,7 @@ from conftest import (GOLDEN_FILES, GOLDENS, golden, golden_case, polynomial_sui
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rscount
 from rscount import charclass, cli, output, rsbounds, series, verify
 from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS,
                                CompleteIntersection, InvalidInputError, char_number)
@@ -41,7 +42,21 @@ from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
                               hypersurface_char_number_closed_form)
 
 
+def golden_result(stem):
+    """The result of a golden that test_golden_bytes ties to its command line;
+    the tests that read it check that the goldens' figures agree with each
+    other and with the bounds' formulas."""
+    return json.loads(golden(f"{stem}.json"))["result"]
+
+
 class TestComputeCommand:
+    def test_k3_golden(self):
+        k3 = golden_result("compute_k3")
+        assert (k3["charnum"], k3["deduction"], k3["boundTotal"]) == ("-40", "2", "38")
+        assert int(k3["boundTotal"]) == abs(int(k3["charnum"])) - int(k3["deduction"])
+        assert int(k3["boundPlus"]) + int(k3["boundMinus"]) == int(k3["boundTotal"])
+        assert k3["boundTotal"] == golden_result("table_calabi_yau_30")["rows"][0]["rsBound"]
+
     def test_non_spin_exits_2(self):
         proc = run_cli("compute", "--complex-dim", "2", "--degrees", "5")
         assert proc.returncode == 2
@@ -192,6 +207,10 @@ class TestErrorReporting:
 
 
 class TestTableCommand:
+    def test_calabi_yau_single_row(self):
+        rows = golden_result("table_calabi_yau_30")["rows"]
+        assert golden_result("table_calabi_yau_2")["rows"] == rows[:1]
+
     def test_invalid_ranges_exit_1(self):
         assert run_cli("table", "calabi-yau", "--max-m", "3").returncode == 1
         assert run_cli("table", "parallel-spinors", "--max-n", "0").returncode == 1
@@ -200,6 +219,11 @@ class TestTableCommand:
 
 
 class TestVerifyCommand:
+    def test_symmetric_poly_odd_m_golden(self):
+        result = golden_result("verify_symmetric_poly_3_2")
+        assert result["checks"] == [{"check": "identically zero (odd m)", "pass": True}]
+        assert result["allPass"] is True
+
     def test_symmetric_poly_even_m(self):
         proc = run_cli("verify", "symmetric-poly", "--m", "2", "--r", "3")
         assert proc.returncode == 0
@@ -264,6 +288,15 @@ class TestTableAndSuiteFlags:
 
 
 class TestSearchCommand:
+    def test_threshold_1_golden(self):
+        t1, t100 = golden_result("search_m2_t1"), golden_result("search_m2_t100")
+        # the smallest even degree past m + 2 already exceeds both thresholds
+        assert t1["degree"] == t100["degree"] == t1["m"] + 4
+        assert abs(int(t1["charnum"])) > int(t100["threshold"])
+        assert {**t1, "threshold": t100["threshold"]} == t100
+        sextic = golden_result("product_m2_d6_k1")
+        assert {key: sextic[key] for key in t1["report"]} == t1["report"]
+
     def test_odd_dimension_exits_1(self):
         proc = run_cli("search", "--complex-dim", "3", "--threshold", "1")
         assert proc.returncode == 1
@@ -319,6 +352,15 @@ class TestSearchCommand:
 
 
 class TestProductCommand:
+    def test_k3_times_two_torus_golden(self):
+        product = golden_result("product_m2_d4_k2")
+        k3 = golden_result("compute_k3")
+        assert {key: product[key] for key in k3} == k3
+        assert product["torusParallelSpinors"] == str(rsbounds.torus_parallel_spinors(2))
+        assert int(product["productBound"]) == (int(k3["boundTotal"])
+                                                * int(product["torusParallelSpinors"]))
+        assert product["totalRealDimension"] == k3["n"] + 2
+
     def test_zero_torus_factor_keeps_base_bound(self):
         proc = run_cli("product", "--complex-dim", "2", "--degrees", "6",
                        "--torus-dim", "0")
@@ -790,6 +832,11 @@ class TestGlobalFlags:
         assert with_meta["meta"]["tool"] == "rscount"
         assert with_meta["result"] == plain["result"]
         assert "meta" not in plain
+
+    def test_meta_golden(self):
+        document = json.loads(golden("compute_k3_meta.json"))
+        assert document.pop("meta") == {"tool": "rscount", "version": rscount.__version__}
+        assert document == json.loads(golden("compute_k3.json"))
 
     def test_csv_format(self):
         proc = run_cli("table", "calabi-yau", "--max-m", "4", "--format", "csv")
