@@ -17,19 +17,23 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """Invoke the CLI the way a user would: as a fresh interpreter process."""
+    """Invoke the CLI the way a user would: as a fresh interpreter process.
+    Its stdout and stderr are decoded without newline translation, so a
+    carriage return it prints reaches the comparison."""
     env = dict(os.environ)
     parts = [str(REPO_ROOT / "src")]
     if env.get("PYTHONPATH"):
         parts.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(parts)
-    return subprocess.run([sys.executable, "-m", "rscount", *args],
-                          capture_output=True, text=True, env=env,
-                          cwd=REPO_ROOT)
+    proc = subprocess.run([sys.executable, "-m", "rscount", *args],
+                          capture_output=True, env=env, cwd=REPO_ROOT)
+    proc.stdout, proc.stderr = proc.stdout.decode(), proc.stderr.decode()
+    return proc
 
 
 def golden(name: str) -> str:
-    return (GOLDEN_DIR / name).read_text()
+    """The golden's bytes as text, with no newline translation."""
+    return (GOLDEN_DIR / name).read_bytes().decode()
 
 
 # Each golden's command line, by stem.  The name of a file in tests/goldens/
@@ -97,12 +101,12 @@ _FORMAT_FLAGS = {".json": (), ".csv": ("--format", "csv"), ".md": ("--format", "
 def golden_case(name: str) -> tuple[list[str], tuple[int, str, str]]:
     """The command line of golden file ``name``, and the exit code, stdout
     and stderr it must end with, by the rule above ``GOLDENS``."""
-    path = GOLDEN_DIR / name
+    path = Path(name)
     argv = [*GOLDENS[path.stem], *_FORMAT_FLAGS[path.suffix]]
     if name.startswith("cli_"):
-        captured = json.loads(path.read_text())
+        captured = json.loads(golden(name))
         return argv, (captured["exit"], captured["stdout"], captured["stderr"])
-    return argv, (0, path.read_text(), "")
+    return argv, (0, golden(name), "")
 
 
 def polynomial_suite_edge(argv: tuple[str, ...]) -> tuple[str, int, int]:

@@ -51,7 +51,9 @@ def _paper_table_commands() -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("line, name", _paper_table_commands())
 def test_paper_table_command_prints_its_golden(line, name):
-    # test_golden_bytes runs the golden's line and checks what it prints
+    """The README command, split as a shell splits it, is the line that
+    GOLDENS lists for its golden's stem.  This test starts no process: that
+    the line prints the golden is test_golden_bytes's check."""
     assert shlex.split(line)[1:] == golden_case(name)[0]
 
 
