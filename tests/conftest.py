@@ -1,7 +1,7 @@
-"""Shared test helpers: the CLI subprocess runner; ``GOLDENS``, the command
-line of each golden file's stem, and ``golden_case``, the one rule that reads
-each file's expected outcome from its name; and the edges of verify's
-polynomial suites."""
+"""Shared test helpers: the CLI subprocess runner; README's sections;
+``GOLDENS``, the command line of each golden file's stem, and
+``golden_case``, the one rule that reads each file's expected outcome from
+its name; and the edges of verify's polynomial suites."""
 
 import json
 import os
@@ -29,6 +29,11 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, env=env, cwd=REPO_ROOT)
     proc.stdout, proc.stderr = proc.stdout.decode(), proc.stderr.decode()
     return proc
+
+
+def readme_section(title: str) -> str:
+    """The text of README's section ``## title``."""
+    return (REPO_ROOT / "README.md").read_text().split(f"\n## {title}\n", 1)[1].split("\n## ")[0]
 
 
 def golden(name: str) -> str:

@@ -7,7 +7,6 @@ integrand.
 """
 
 import pickle
-import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, inf, isfinite, prod
@@ -243,13 +242,8 @@ class TestRiemannRochRoute:
 
 
 class TestBudgets:
-    """Odd m is zero by parity before the Koszul sum runs; even m, and the
-    polynomial, are refused when their estimate is past MAX_ESTIMATED_SECONDS
-    (see also tests/test_cli.py), before any binomial is computed or the
-    polynomial's recurrence runs."""
-
-    BUDGET = f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}"
-    DOMAIN = f"MAX_COMPLEX_DIM = {MAX_COMPLEX_DIM}"
+    """The cost model's parts, and odd m, zero before the Koszul sum runs; which inputs
+    the budget admits or refuses, and by which stage, is tests/test_admission.py's table."""
 
     def test_odd_m_runs_neither_route(self, monkeypatch):
         def fail(*args):
@@ -320,36 +314,6 @@ class TestBudgets:
         if (sum(degrees) + n) // 2 + max(degrees) >= n:
             assert bits < largest.bit_length() + 2
 
-    @pytest.mark.parametrize("m, degrees", [
-        # 10926 signed subset sums of binomials of about 10^5 bits: the
-        # Koszul sum passes the budget at 163 of them
-        (300, (2, *(2**k for k in range(1, 14)), 10**100)),
-        # non-spin: 2^n n! makes each term about 1.4 million bits, 3.4 s if
-        # computed; past the budget already at r+1 = 2 sums
-        (80000, (80003,)),
-        # the Koszul sum passes the budget at 1510 of its 10926 sums
-        (300, (2, *(2**k for k in range(1, 14)), 10**12))],
-        ids=["degree-10^100", "non-spin", "term limit"])
-    def test_work_past_the_budget_is_refused_before_either_route(self, m, degrees, monkeypatch):
-        def fail(*args):
-            raise AssertionError("a binomial was formed past the work budget")
-        for name in ("_folded_koszul_sum", "comb", "_tree_product"):
-            monkeypatch.setattr(charclass, name, fail)
-        with pytest.raises(InvalidInputError, match=self.BUDGET):
-            char_number(CompleteIntersection(m, degrees))
-
-    @pytest.mark.parametrize("m, degrees", [
-        # admitted at microseconds to a millisecond estimated before each
-        # product was priced at k = n, and ran 2.0 to 28.7 s in process
-        (80000, (3,)), (80000, (2, 2)), (80000, (2,) * 10), (80000, (2,) * 40),
-        (80000, (4,) * 40), (80000, (2, 4, 6, 8, 10, 12, 14, 16)), (40000, (2,) * 40)])
-    def test_non_spin_products_past_the_budget_are_refused(self, m, degrees, monkeypatch):
-        def fail(*args):
-            raise AssertionError("a product was formed past the work budget")
-        monkeypatch.setattr(charclass, "_tree_product", fail)
-        with pytest.raises(InvalidInputError, match=self.BUDGET):
-            char_number(CompleteIntersection(m, degrees))
-
     @pytest.mark.parametrize("m, degrees", [(6000, (2,) * 10), (12000, (2, 2, 3))])
     def test_non_spin_products_within_the_budget_run(self, m, degrees):
         # 1.16 and 1.13 s estimated, 0.05 and 0.1 s in process: r+2 products
@@ -357,29 +321,6 @@ class TestBudgets:
         n = m + len(degrees)
         value = char_number(CompleteIntersection(m, degrees))
         assert 2 ** (2 * n - n.bit_count()) % Fraction(value).denominator == 0
-
-    @pytest.mark.parametrize("m, degrees", [
-        (20000, (3,)), (7060, (2237, 548, 556, 37)), (30000, (30003,))])
-    def test_non_spin_sums_within_the_budget_are_admitted(self, m, degrees, monkeypatch):
-        # estimated at 0.67, 1.21 and 1.77 s; 0.1 to 0.5 s in process
-        def reached(*args):
-            raise LookupError("the Koszul sum ran")
-        monkeypatch.setattr(charclass, "_folded_koszul_sum", reached)
-        with pytest.raises(LookupError):
-            char_number(CompleteIntersection(m, degrees))
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_many_live_sums_at_small_k_are_refused(self, seed, monkeypatch):
-        # 16 distinct degrees below 10^6 at m = 8: 48816 to 65528 live sums,
-        # 1.5 to 3.9 s by the Koszul sum.  Each is refused at about 26.5k
-        # live sums, before any binomial or product is formed.
-        def fail(*args):
-            raise AssertionError("a binomial or product was formed past the work budget")
-        for name in ("comb", "_tree_product"):
-            monkeypatch.setattr(charclass, name, fail)
-        degrees = random.Random(seed).sample(range(2, 10**6), 16)
-        with pytest.raises(InvalidInputError, match=self.BUDGET):
-            char_number(CompleteIntersection(8, degrees))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 200).map(lambda h: 2 * h),
@@ -391,60 +332,11 @@ class TestBudgets:
         ci = CompleteIntersection(m, degrees)
         assert _koszul_seconds_per_sum(ci) * 2 ** len(degrees) <= MAX_ESTIMATED_SECONDS
 
-    def test_vanishing_binomials_count_toward_the_work(self, monkeypatch):
-        # Fano, so every binomial is zero: 2002 signed subset sums, 2 s if
-        # computed.  r+1 = 2002 sums of 2003 binomials are past the budget at
-        # the cost of a call each, so none is formed.
-        def fail(*args):
-            raise AssertionError("the Koszul sum began past the work budget")
-        for name in ("_koszul_coefficients", "_folded_koszul_sum"):
-            monkeypatch.setattr(charclass, name, fail)
-        with pytest.raises(InvalidInputError, match=self.BUDGET):
-            char_number(CompleteIntersection(80000, (2,) * 2001))
-
-    def test_numbers_past_the_bit_budget_are_refused(self):
-        ci = CompleteIntersection(20000, (10**20,))
-        with pytest.raises(InvalidInputError, match=self.BUDGET):
-            char_number(ci)
-
     def test_many_binomials_with_small_k_are_admitted(self):
         # 40 signed subset sums of 22 binomials of about 28000 bits, but
         # k = n = 2020: 0.05 to 0.08 s in process, which bits^2 priced past the budget
         ci = CompleteIntersection(2000, (10**6,) * 19 + (10**6 + 1,))
         assert char_number(ci) == koszul_numbers(ci)[0]
-
-    @pytest.mark.parametrize("m, r", [
-        (21, 2), (19, 3), (15, 4), (11, 5), (9, 6),     # the benchmark's largest
-        (130, 1), (20, 8),                              # verify's polynomial suites
-        (24, 8), (40, 4), (100, 1)])
-    def test_polynomials_within_the_budget_run(self, m, r, monkeypatch):
-        def reached(*args):
-            raise LookupError("the recurrence ran")
-        monkeypatch.setattr(charclass, "_power_sum_pairings", reached)
-        with pytest.raises(LookupError):
-            char_number_polynomial(m, r)
-
-    @pytest.mark.parametrize("m, r", [
-        (200, 1),       # 7.5 s in process
-        (30, 8),        # 2.0 s, 490314 terms
-        (4, 600), (2, 3000),  # r-tuples: ran 13 s and 1.2 s
-        # past MAX_COMPLEX_DIM: the domain refuses them before they are priced
-        (MAX_COMPLEX_DIM + 1, 1), (35, MAX_COMPLEX_DIM + 1),
-        (10**9, 1), (2, 10**9), (100, 10**9), pytest.param(40, 10**40, id="40-10^40"),
-        pytest.param(10**400, 1, id="10^400-1"), pytest.param(2, 10**400, id="2-10^400"),
-        pytest.param(35, 10**4000, id="35-10^4000"),
-        # past the digits str() converts, which the refusal must not show
-        pytest.param(35, 10**10000, id="35-10^10000"),
-        pytest.param(10**5000, 1, id="10^5000-1")])
-    def test_polynomials_past_the_budget_are_refused(self, m, r, monkeypatch):
-        def fail(*args):
-            raise AssertionError("the model or the recurrence ran past the budget")
-        monkeypatch.setattr(charclass, "_power_sum_pairings", fail)
-        past_domain = max(m, r) > MAX_COMPLEX_DIM
-        if past_domain:
-            monkeypatch.setattr(charclass, "_polynomial_seconds", fail)
-        with pytest.raises(InvalidInputError, match=self.DOMAIN if past_domain else self.BUDGET):
-            char_number_polynomial(m, r)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 138, 139, 212, MAX_COMPLEX_DIM])
     def test_estimates_at_the_corners_of_the_domain(self, m):

@@ -116,3 +116,15 @@ def test_known_values(m, degrees, chi0, chi1):
 
 def test_the_sextic_fourfold_char_number():
     assert char_number(CompleteIntersection(4, (6,))) == -854
+
+
+def test_hodge_reading_at_even_m_from_4():
+    """chi^1 = sum_q (-1)^q h^{1,q}, and for even m >= 4 Lefschetz leaves
+    h^{1,q} = delta_{1q} except at q = m-1: so h^{m-1,1} = -chi^1 - 1 >= 0 and
+    char_number = -2(1 + h^{m-1,1}).  On K3, q = 1 = m-1 and h^{1,1} = -chi^1."""
+    even = [(m, degrees) for m, degrees in CALABI_YAU if m % 2 == 0 and m >= 4]
+    assert len(even) == 209
+    for m, degrees in even:
+        h = -chi_y(m, degrees)[1] - 1
+        assert h >= 0 and char_number(CompleteIntersection(m, degrees)) == -2 * (1 + h)
+    assert (-chi_y(4, (6,))[1] - 1, -chi_y(2, (4,))[1]) == (426, 20)  # sextic fourfold, K3

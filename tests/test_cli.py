@@ -35,11 +35,9 @@ from hypothesis import strategies as st
 
 import rscount
 from rscount import charclass, cli, output, rsbounds, series, verify
-from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS,
-                               CompleteIntersection, InvalidInputError, char_number)
+from rscount.charclass import MAX_ESTIMATED_SECONDS, CompleteIntersection, char_number
 from rscount.output import FORMATS
-from rscount.rsbounds import (MAX_TORUS_DIM, THRESHOLD_DIGITS,
-                              hypersurface_char_number_closed_form)
+from rscount.rsbounds import THRESHOLD_DIGITS, hypersurface_char_number_closed_form
 
 
 def golden_result(stem):
@@ -386,23 +384,8 @@ class TestProductCommand:
 
 
 class TestInputBudgets:
-    """The largest input each budget accepts runs; one past it is refused
-    before any work, naming the budget."""
-
-    @pytest.mark.parametrize("argv, largest, past, budget", [
-        (("table", "parallel-spinors", "--max-n"), cli.TABLE_MAX_N, 1, "TABLE_MAX_N"),
-        (("table", "calabi-yau", "--max-m"), cli.TABLE_MAX_M, 2, "TABLE_MAX_M"),
-        (("product", "--complex-dim", "2", "--degrees", "4", "--torus-dim"),
-         MAX_TORUS_DIM, 1, "MAX_TORUS_DIM"),
-        (("verify", "closed-form", "--max-m"), verify.MAX_M, 1, "MAX_M"),
-        (("verify", "torus-inequality", "--max-m"), verify.MAX_M, 2, "MAX_M"),
-    ])
-    def test_edges(self, argv, largest, past, budget, capsys):
-        assert cli.main([*argv, str(largest), "--quiet"]) == 0
-        assert cli.main([*argv, str(largest + past)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"{budget} = {largest}" in err
+    """The polynomial suites' edges and odd m past the live-sum budget; every
+    other input that a limit decides is a row of tests/test_admission.py."""
 
     @pytest.mark.parametrize("argv, old_cap", [
         (("hypersurface-poly",), 130),
@@ -424,104 +407,12 @@ class TestInputBudgets:
         assert out == ""
         assert f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}" in err
 
-    BUDGET = f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}"
-    DOMAIN = f"MAX_COMPLEX_DIM = {MAX_COMPLEX_DIM}"
-
-    @pytest.mark.parametrize("argv, call, budget", [
-        (("hypersurface-poly", "--m", "140"), lambda: verify.hypersurface_poly(140), BUDGET),
-        (("symmetric-poly", "--m", "22", "--r", "8"), lambda: verify.symmetric_poly(22, 8),
-         BUDGET),
-        (("symmetric-poly", "--m", "72", "--r", "2"), lambda: verify.symmetric_poly(72, 2),
-         BUDGET),
-        # past MAX_COMPLEX_DIM: the domain refuses them before they are priced
-        (("hypersurface-poly", "--m", str(MAX_COMPLEX_DIM + 1)),
-         lambda: verify.hypersurface_poly(MAX_COMPLEX_DIM + 1), DOMAIN),
-        (("symmetric-poly", "--m", "3", "--r", str(MAX_COMPLEX_DIM + 1)),
-         lambda: verify.symmetric_poly(3, MAX_COMPLEX_DIM + 1), DOMAIN),
-        (("hypersurface-poly", "--m", str(10**400)), lambda: verify.hypersurface_poly(10**400),
-         DOMAIN),
-        (("symmetric-poly", "--m", str(10**400), "--r", "2"),
-         lambda: verify.symmetric_poly(10**400, 2), DOMAIN),
-        (("symmetric-poly", "--m", "2", "--r", str(10**400)),
-         lambda: verify.symmetric_poly(2, 10**400), DOMAIN),
-        (("symmetric-poly", "--m", "35", "--r", str(10**4000)),
-         lambda: verify.symmetric_poly(35, 10**4000), DOMAIN),
-    ], ids=["hypersurface-poly-140", "symmetric-poly-22-8", "symmetric-poly-72-2",
-            "hypersurface-poly-80001", "symmetric-poly-3-80001",
-            "hypersurface-poly-10^400", "symmetric-poly-10^400-2", "symmetric-poly-2-10^400",
-            "symmetric-poly-35-10^4000"])
-    def test_polynomial_suites_refuse_before_any_work(self, argv, call, budget, monkeypatch,
-                                                      capsys):
-        def fail(*args):
-            raise AssertionError("a power sum or binomial was computed past the budget")
-        monkeypatch.setattr(charclass, "_power_sum_pairings", fail)
-        monkeypatch.setattr(verify, "char_number", fail)
-        if budget == self.DOMAIN:
-            for module in (charclass, verify):
-                monkeypatch.setattr(module, "_polynomial_seconds", fail)
-        assert cli.main(["verify", *argv]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert budget in err
-        with pytest.raises(InvalidInputError, match=budget):
-            call()
-
-    @pytest.mark.parametrize("command, flags", [
-        ("compute", lambda m: ["--degrees", str(m + 4)]),
-        ("product", lambda m: ["--degrees", str(m + 4), "--torus-dim", "1"]),
-        ("search", lambda m: ["--threshold", "1"])], ids=["compute", "product", "search"])
-    def test_complex_dimension(self, command, flags, capsys):
-        # general type and spin at the limit, which is even, so search takes it
-        largest = MAX_COMPLEX_DIM
-        assert cli.main([command, "--complex-dim", str(largest), *flags(largest), "--quiet"]) == 0
-        assert cli.main([command, "--complex-dim", str(largest + 1), *flags(largest + 1)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"MAX_COMPLEX_DIM = {largest}" in err
-
-    # 2, 4, ..., 2^14: 2^14 signed subset sums, and spin with one more 2 at
-    # even m, where 10924 of them are live
-    POWERS = [str(2**k) for k in range(1, 15)]
-
-    def test_live_sums_past_the_budget(self, monkeypatch, capsys):
-        # the Koszul sum passes the budget at 5395, 5344 and 1135 live sums
-        def fail(*args):
-            raise AssertionError("the Koszul sum ran past its work budget")
-        monkeypatch.setattr(charclass, "_folded_koszul_sum", fail)
-        for m in (300, 302, 800):
-            argv = ["compute", "--complex-dim", str(m), "--degrees", "2", *self.POWERS]
-            assert cli.main(argv) == 1
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}" in err
-
     def test_odd_dimension_is_zero_past_the_live_sum_budget(self, capsys):
-        # zero by parity before any estimate, where 800 is refused
-        assert cli.main(["compute", "--complex-dim", "801", "--degrees", *self.POWERS]) == 0
+        # 2, 4, ..., 2^14: zero by parity before any estimate, where 800 and one more 2 is refused
+        powers = [str(2**k) for k in range(1, 15)]
+        assert cli.main(["compute", "--complex-dim", "801", "--degrees", *powers]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
         assert (result["spin"], result["charnum"]) == (True, "0")
-
-    @pytest.mark.parametrize("m, degrees", [
-        # spin, 2^15 signed subset sums of about 85000 bits: hours of binomials
-        (40000, [2**k for k in range(1, 16)]),
-        # 10^6 + 1 and 10^6 + 2^k, k = 1..11: 2^12 sums of about 26600 bits, 40 s
-        (2000, [10**6 + 1] + [10**6 + 2**k for k in range(1, 12)]),
-    ], ids=["40000", "2000"])
-    def test_koszul_work(self, m, degrees, monkeypatch, capsys):
-        def fail(*args):
-            raise AssertionError("the Koszul sum ran past its work budget")
-        monkeypatch.setattr(charclass, "_folded_koszul_sum", fail)
-        assert cli.main(["compute", "--complex-dim", str(m), "--degrees", *map(str, degrees)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}" in err
-
-    def test_number_size(self, capsys):
-        argv = ["compute", "--complex-dim", "20000", "--degrees", str(10**20)]
-        assert cli.main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"MAX_ESTIMATED_SECONDS = {MAX_ESTIMATED_SECONDS}" in err
 
 
 class TestHelpText:

@@ -9,19 +9,14 @@ import re
 import shlex
 
 import pytest
-from conftest import REPO_ROOT, golden_case, polynomial_suite_edge, run_cli
+from conftest import REPO_ROOT, golden_case, polynomial_suite_edge, readme_section, run_cli
 
 from rscount import verify
 from rscount.charclass import char_number
 
 
-def _section(title: str) -> str:
-    readme = (REPO_ROOT / "README.md").read_text()
-    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
-
-
 def _cli_examples() -> list[str]:
-    block = re.search(r"```sh\n(.*?)```", _section("CLI"), re.DOTALL).group(1)
+    block = re.search(r"```sh\n(.*?)```", readme_section("CLI"), re.DOTALL).group(1)
     return [line for line in block.splitlines() if line.startswith("rscount ")]
 
 
@@ -40,7 +35,7 @@ def _paper_table_commands() -> list[tuple[str, str]]:
     """(command, golden) pairs of the paper table, in the order they appear
     in each row."""
     pairs = []
-    for row in re.findall(r"^\|(?!---)(.*)\|$", _section("Reproducing the paper"),
+    for row in re.findall(r"^\|(?!---)(.*)\|$", readme_section("Reproducing the paper"),
                           re.MULTILINE)[1:]:
         commands = re.findall(r"`(rscount [^`]*)`", row)
         goldens = re.findall(r"`tests/goldens/([^`]*)`", row)
@@ -62,7 +57,7 @@ def test_budgets_quoted_in_the_cli_section_are_the_library_values():
     decimals such as 1.8 as floats; and the quoted names are exactly the
     public upper-case constants that charclass, rsbounds, verify and cli
     assign at their top level."""
-    section = _section("CLI")
+    section = readme_section("CLI")
     quoted = re.findall(r"`(\w+)\.([A-Z][A-Z_]*)` =\s+(?:(\d+)·)?(10\^)?(\d+(?:\.\d+)?)",
                         section)
     assert re.findall(r"`[A-Z][A-Z_]*` = \d", section) == []  # each name has its module
@@ -80,7 +75,7 @@ def _quoted_polynomial_suite_edges() -> dict[tuple[str, ...], int]:
     and symmetric-poly's "largest even `--m` is N at `--r R`, ..." and
     "largest `--r` is N at `--m M`, ...", with argv as polynomial_suite_edge
     takes it."""
-    section = " ".join(_section("CLI").split())
+    section = " ".join(readme_section("CLI").split())
     hypersurface = re.search(r"`hypersurface-poly --m` has .*? largest even `--m` is (\d+)\.",
                              section)
     quoted = {("hypersurface-poly",): int(hypersurface.group(1))}
@@ -114,7 +109,7 @@ def test_char_number_admits_symmetric_poly_points_at_the_quoted_edges():
 def test_library_example_gives_its_commented_values(capsys):
     """Runs the block statement by statement; a line ``code  # value``
     must print value, or evaluate to something whose str is value."""
-    block = re.search(r"```python\n(.*?)```", _section("Library"), re.DOTALL).group(1)
+    block = re.search(r"```python\n(.*?)```", readme_section("Library"), re.DOTALL).group(1)
     namespace, pending, checked = {}, [], []
     for line in block.splitlines():
         commented = re.fullmatch(r"(.*?)\s+# (.*)", line)
