@@ -179,7 +179,7 @@ ADMISSION = [
 
 
 def guard(row, monkeypatch):
-    """Makes each function that the row must not run fail, or must reach raise LookupError."""
+    """Patches what the row must not run to fail, or what it must reach to raise LookupError."""
     if row.refused is ADMITTED and row.limit != BUDGET:
         return
     names, error = (FORBIDDEN[row.refused], AssertionError) if row.refused else (WORK, LookupError)

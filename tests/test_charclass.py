@@ -242,8 +242,8 @@ class TestRiemannRochRoute:
 
 
 class TestBudgets:
-    """The cost model's parts, and odd m, zero before the Koszul sum runs; which inputs
-    the budget admits or refuses, and by which stage, is tests/test_admission.py's table."""
+    """The cost model's parts, and odd m, which is zero before the Koszul sum runs.
+    Which inputs the budget admits, and where it refuses, is tests/test_admission.py's."""
 
     def test_odd_m_runs_neither_route(self, monkeypatch):
         def fail(*args):
