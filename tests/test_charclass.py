@@ -14,6 +14,7 @@ from math import comb, factorial, inf, isfinite, prod
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_admission import POLYNOMIAL_ROWS, test_library as check_library
 
 from rscount import charclass, verify
 from rscount.charclass import (MAX_COMPLEX_DIM, MAX_ESTIMATED_SECONDS, CompleteIntersection,
@@ -337,6 +338,17 @@ class TestBudgets:
         # k = n = 2020: 0.05 to 0.08 s in process, which bits^2 priced past the budget
         ci = CompleteIntersection(2000, (10**6,) * 19 + (10**6 + 1,))
         assert char_number(ci) == koszul_numbers(ci)[0]
+
+    # The polynomial's ADMISSION rows (see tests/test_admission.py), as m-r
+    @pytest.mark.parametrize("row", [row for row in POLYNOMIAL_ROWS if not row.refused],
+                             ids=lambda row: row.id.removeprefix("polynomial-"))
+    def test_polynomials_within_the_budget_run(self, row, monkeypatch):
+        check_library(row, monkeypatch)
+
+    @pytest.mark.parametrize("row", [row for row in POLYNOMIAL_ROWS if row.refused],
+                             ids=lambda row: row.id.removeprefix("polynomial-"))
+    def test_polynomials_past_the_budget_are_refused(self, row, monkeypatch):
+        check_library(row, monkeypatch)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 138, 139, 212, MAX_COMPLEX_DIM])
     def test_estimates_at_the_corners_of_the_domain(self, m):
