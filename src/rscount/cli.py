@@ -15,6 +15,7 @@ rejects.  Any other exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from gettext import gettext
@@ -58,8 +59,9 @@ def _decimal(value: int | Fraction) -> str:
 class _FixedWidthFormatter(argparse.HelpFormatter):
     # A fixed width keeps help and usage text the same in any terminal, and
     # spares the shutil.get_terminal_size call that argparse otherwise makes
-    # for every formatter, one per added argument.  78 is the width argparse
-    # uses when stdout is not a terminal.
+    # for every formatter: one per help or usage text, and one per added
+    # argument, which happens once per command in a process.  78 is the
+    # width argparse uses when stdout is not a terminal.
     def __init__(self, prog):
         super().__init__(prog, width=78)
 
@@ -119,9 +121,14 @@ def _product_arguments(parser):
 # command is parsed by that command's parser alone, since argparse hands the
 # command all that follows it.  Any other line, and one whose command leaves
 # arguments over, is parsed by the top-level parser with every command in
-# full.  Either parser is built per call; one kept for the whole process
-# would cost less, but the benchmark keeps a sample per finished job, so its
-# extra jobs would read as peak memory past the 5% bound (ROADMAP item 1a).
+# full.  Both take each command's arguments from its _command_parent, so
+# after a command's first call no call adds an argument, and a call builds
+# only its parser's shell: the benchmark's numeric workload ran 3655 jobs/s
+# against 3145 when each call added its command's arguments (medians of ten
+# 25-s runs each, 2-vCPU Xeon, CPython 3.11.7).  No parser is kept: one kept
+# for the whole process would cost less again, but the benchmark keeps a
+# sample per finished job, so its extra jobs would read as peak memory past
+# the 5% bound (ROADMAP items 1a and 19).
 _COMMANDS = {
     "compute": ("bound report for one complete intersection", _compute_arguments),
     "table": ("emit a reference table", _table_arguments),
@@ -131,9 +138,10 @@ _COMMANDS = {
     "product": ("bound for the product with a flat torus", _product_arguments)}
 
 
-# -h, in argparse's own words, and the output flags: built once, and shared
-# through ``parents`` by every command's parser, whose actions are these same
-# objects.  Parsing reads them and never changes them.
+# -h, in argparse's own words, and the output flags: built once, at import,
+# and shared through ``parents`` by every command's parent, and so by every
+# parser, whose actions are these same objects.  Parsing reads them and
+# never changes them.
 _COMMON = argparse.ArgumentParser(add_help=False, formatter_class=_FixedWidthFormatter)
 _COMMON.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
                      help=gettext("show this help message and exit"))
@@ -145,11 +153,21 @@ _COMMON.add_argument("--meta", action="store_true",
                      help="attach tool metadata to JSON output")
 
 
+@functools.cache
+def _command_parent(command: str) -> argparse.ArgumentParser:
+    """Every argument of ``command`` and its handler, built on the command's
+    first call and kept; both parser shapes take them through ``parents``,
+    and parsing never changes them."""
+    parent = argparse.ArgumentParser(add_help=False, parents=[_COMMON],
+                                     formatter_class=_FixedWidthFormatter)
+    _COMMANDS[command][1](parent)
+    return parent
+
+
 def _command_parser(command: str) -> argparse.ArgumentParser:
     """The parser of ``command`` alone, as the top-level parser builds it."""
-    parser = _ExitOneParser(prog=f"rscount {command}", add_help=False, parents=[_COMMON])
-    _COMMANDS[command][1](parser)
-    return parser
+    return _ExitOneParser(prog=f"rscount {command}", add_help=False,
+                          parents=[_command_parent(command)])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,9 +178,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and the Rarita-Schwinger dimension bounds they imply.")
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_ExitOneParser)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        add_arguments(subparsers.add_parser(name, help=help_text, add_help=False,
-                                            parents=[_COMMON]))
+    for name, (help_text, _) in _COMMANDS.items():
+        subparsers.add_parser(name, help=help_text, add_help=False,
+                              parents=[_command_parent(name)])
     return parser
 
 

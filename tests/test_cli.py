@@ -14,6 +14,7 @@ usage-error invocations.  So are the ``.csv`` and ``.md`` goldens and
 import argparse
 import contextlib
 import copy
+import functools
 import gc
 import io
 import json
@@ -117,9 +118,11 @@ class TestComputeCommand:
 
     def test_calls_leave_no_parser_or_objects_behind(self, capsys):
         # the collector, not main, frees each call's parser and its cycles.
-        # argparse points each shared action of cli._COMMON at the group of
-        # the latest parser it was added to, so one call's group lives until
-        # the next call replaces it: a fixed number of objects, not a growing one
+        # argparse points every action of a command, its kept parent's and
+        # cli._COMMON's alike, at the group of the latest parser it was added
+        # to, so one shell's groups stay alive per command until that
+        # command's next call replaces them: a fixed number of objects, not a
+        # growing one
         lines = [["compute", "--complex-dim", "4", "--degrees", "6"],
                  ["product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "2"]]
         assert cli.main(lines[0]) == 0
@@ -420,6 +423,8 @@ class TestHelpText:
         def probe(*args, **kwargs):
             raise AssertionError("the CLI probed the terminal")
         monkeypatch.setattr(shutil, "get_terminal_size", probe)
+        # nor a command's first call, which builds its arguments
+        TestParserBuilding.no_parent_built_yet(monkeypatch)
         assert cli.main(["compute", "--complex-dim", "2", "--degrees", "4"]) == 0
         assert capsys.readouterr().out == golden("compute_k3.json")
         with pytest.raises(SystemExit) as exited:
@@ -649,39 +654,49 @@ class TestParserBuilding:
             assert [action.dest for action in parsed[1]._actions] == self.FULL[first]
 
     @staticmethod
-    def arguments_added(build, monkeypatch):
+    def arguments_added(build):
         """How many add_argument calls ``build()`` makes."""
-        calls = []
         add_argument = argparse._ActionsContainer.add_argument
+        with mock.patch.object(argparse._ActionsContainer, "add_argument", autospec=True,
+                               side_effect=add_argument) as counted:
+            build()
+        return counted.call_count
 
-        def counted(container, *args, **kwargs):
-            calls.append(args)
-            return add_argument(container, *args, **kwargs)
-        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
-        build()
-        return len(calls)
+    @staticmethod
+    def no_parent_built_yet(monkeypatch):
+        """Gives this test its own empty store of kept command parents."""
+        monkeypatch.setattr(cli, "_command_parent",
+                            functools.cache(cli._command_parent.__wrapped__))
 
     @pytest.mark.parametrize("command, own", [
         ("compute", 2), ("table", 3), ("verify", 4), ("search", 2), ("product", 3)])
     def test_a_call_adds_only_its_commands_own_arguments(self, command, own, monkeypatch,
                                                          capsys):
-        # -h and the output flags are built once, at import
-        assert self.arguments_added(lambda: cli.main(self.LEADING[command]),
-                                    monkeypatch) == own
+        # -h and the output flags are built once, at import, and a command's
+        # own arguments once, on its first call: a later call adds none
+        self.no_parent_built_yet(monkeypatch)
+        for added in (own, 0, 0):
+            assert self.arguments_added(lambda: cli.main(self.LEADING[command])) == added
 
     def test_the_top_level_parser_adds_its_help_and_each_commands_own(self, monkeypatch):
-        assert self.arguments_added(cli._build_parser, monkeypatch) == 1 + 14
+        # each command's own on the first call, then only its -h
+        self.no_parent_built_yet(monkeypatch)
+        for added in (1 + 14, 1, 1):
+            assert self.arguments_added(cli._build_parser) == added
 
     def test_every_parser_shares_the_same_four_actions(self):
+        # and the rest of its command's kept actions
         shared = cli._COMMON._actions
         assert [action.dest for action in shared] == ["help", "format", "quiet", "meta"]
         (subparsers,) = [action for action in cli._build_parser()._actions
                          if isinstance(action, argparse._SubParsersAction)]
         for command in self.FULL:
+            kept = cli._command_parent(command)._actions
+            assert all(mine is common for mine, common in zip(kept[:4], shared, strict=True))
             for parser in (cli._command_parser(command), subparsers.choices[command]):
-                assert len(parser._actions) == len(self.FULL[command])
-                assert all(mine is common
-                           for mine, common in zip(parser._actions[:4], shared, strict=True))
+                assert [action.dest for action in parser._actions] == self.FULL[command]
+                assert all(mine is theirs
+                           for mine, theirs in zip(parser._actions, kept, strict=True))
 
     @pytest.mark.parametrize("argv, built", [
         # the command's own parser
@@ -781,23 +796,30 @@ def test_calls_in_one_process_leave_no_state_behind():
         assert (code, stdout, stderr) == expected, argv
 
 
-# What parsing could change in an action of cli._COMMON, read at import,
-# before any test has parsed a line.
+# What parsing could change in an action, read at import, before any test
+# has parsed a line.
 _ACTION_ATTRIBUTES = ("option_strings", "dest", "default", "choices", "required",
-                      "nargs", "const", "help")
+                      "nargs", "const", "type", "metavar", "help")
 
 
 def _shared_actions():
-    return copy.deepcopy([{name: getattr(action, name) for name in _ACTION_ATTRIBUTES}
-                          for action in cli._COMMON._actions])
+    """Every action of cli._COMMON and of the five kept command parents,
+    with each parent's defaults."""
+    kept = [cli._COMMON, *map(cli._command_parent, cli._COMMANDS)]
+    return copy.deepcopy([([{name: getattr(action, name) for name in _ACTION_ATTRIBUTES}
+                            for action in parser._actions], parser._defaults)
+                          for parser in kept])
 
 
 _SHARED_AT_IMPORT = _shared_actions()
 
 
 def test_calls_leave_the_shared_flags_as_they_were():
-    """-h and the output flags are built once and shared by every parser:
-    no call changes them, whatever flags it passes and however it ends."""
+    """-h, the output flags and each command's arguments are built once and
+    shared by every parser: no call changes them, whatever flags it passes
+    and however it ends, nor every golden's line run in one process."""
+    for argv, _ in map(golden_case, GOLDEN_FILES):
+        TestHelpText.outcome(argv)
     for argv in (["compute", "--complex-dim", "2", "--degrees", "4", "--format", "csv"],
                  ["search", "--complex-dim", "2", "--threshold", "100", "--quiet", "--meta"],
                  ["--format", "markdown", "table", "calabi-yau", "--max-m", "2"],

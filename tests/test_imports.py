@@ -4,13 +4,14 @@ No other module imports ``rscount.series``, the tests' oracle, and it
 imports nothing from the package, so that the oracle shares no code with
 the production routes.
 No module imports ``dataclasses`` or ``typing``, and importing the CLI
-loads neither them nor what only one command needs, which keeps a cold
-call's start-up short."""
+loads neither them nor what only one command needs, and builds only the
+arguments every command shares, which keeps a cold call's start-up short."""
 
 import ast
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -106,3 +107,28 @@ def test_importing_the_cli_loads_no_slow_or_single_command_module():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.split() == []
+
+
+def test_start_up_adds_only_the_shared_arguments_and_a_call_its_commands():
+    # the arguments each add_argument call names in a fresh interpreter: at
+    # import, then on a first compute line, then on a second
+    code = textwrap.dedent("""
+        import argparse, contextlib, io
+        added, add_argument = [], argparse._ActionsContainer.add_argument
+        def counted(container, *args, **kwargs):
+            added.append(args[0])
+            return add_argument(container, *args, **kwargs)
+        argparse._ActionsContainer.add_argument = counted
+        import rscount.cli
+        print(*added)
+        for _ in range(2):
+            added.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                rscount.cli.main(["compute", "--complex-dim", "2", "--degrees", "4"])
+            print(*added)
+        """)
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == ["-h --format --quiet --meta",
+                                        "--complex-dim --degrees", ""]
