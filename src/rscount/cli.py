@@ -18,7 +18,6 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from gettext import gettext
 
 from . import __version__
 from .charclass import CompleteIntersection, InvalidInputError, _require_int
@@ -60,8 +59,8 @@ class _FixedWidthFormatter(argparse.HelpFormatter):
     # A fixed width keeps help and usage text the same in any terminal, and
     # spares the shutil.get_terminal_size call that argparse otherwise makes
     # for every formatter: one per help or usage text, and one per added
-    # argument, which happens once per command in a process.  78 is the
-    # width argparse uses when stdout is not a terminal.
+    # argument, which happens once per process.  78 is the width argparse
+    # uses when stdout is not a terminal.
     def __init__(self, prog):
         super().__init__(prog, width=78)
 
@@ -116,19 +115,7 @@ def _product_arguments(parser):
     parser.set_defaults(handler=_cmd_product)
 
 
-# Each command's help line and the function that adds its own arguments;
-# -h and the output flags come from _COMMON.  A line that starts with its
-# command is parsed by that command's parser alone, since argparse hands the
-# command all that follows it.  Any other line, and one whose command leaves
-# arguments over, is parsed by the top-level parser with every command in
-# full.  Both take each command's arguments from its _command_parent, so
-# after a command's first call no call adds an argument, and a call builds
-# only its parser's shell: the benchmark's numeric workload ran 3655 jobs/s
-# against 3145 when each call added its command's arguments (medians of ten
-# 25-s runs each, 2-vCPU Xeon, CPython 3.11.7).  No parser is kept: one kept
-# for the whole process would cost less again, but the benchmark keeps a
-# sample per finished job, so its extra jobs would read as peak memory past
-# the 5% bound (ROADMAP items 1a and 19).
+# Each command's help line and the function that adds its own arguments.
 _COMMANDS = {
     "compute": ("bound report for one complete intersection", _compute_arguments),
     "table": ("emit a reference table", _table_arguments),
@@ -138,64 +125,26 @@ _COMMANDS = {
     "product": ("bound for the product with a flat torus", _product_arguments)}
 
 
-# -h, in argparse's own words, and the output flags: built once, at import,
-# and shared through ``parents`` by every command's parent, and so by every
-# parser, whose actions are these same objects.  Parsing reads them and
-# never changes them.
-_COMMON = argparse.ArgumentParser(add_help=False, formatter_class=_FixedWidthFormatter)
-_COMMON.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
-                     help=gettext("show this help message and exit"))
-_COMMON.add_argument("--format", choices=FORMATS, default="json",
-                     help="output format (default: json)")
-_COMMON.add_argument("--quiet", action="store_true",
-                     help="suppress the stdout payload; rely on exit codes")
-_COMMON.add_argument("--meta", action="store_true",
-                     help="attach tool metadata to JSON output")
-
-
 @functools.cache
-def _command_parent(command: str) -> argparse.ArgumentParser:
-    """Every argument of ``command`` and its handler, built on the command's
-    first call and kept; both parser shapes take them through ``parents``,
-    and parsing never changes them."""
-    parent = argparse.ArgumentParser(add_help=False, parents=[_COMMON],
-                                     formatter_class=_FixedWidthFormatter)
-    _COMMANDS[command][1](parent)
-    return parent
-
-
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, as the top-level parser builds it."""
-    return _ExitOneParser(prog=f"rscount {command}", add_help=False,
-                          parents=[_command_parent(command)])
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, with every command in full."""
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command line, built on the first call and kept:
+    parsing reads it and never changes it."""
     parser = _ExitOneParser(
         prog="rscount",
         description="Exact characteristic numbers of complete intersections "
                     "and the Rarita-Schwinger dimension bounds they imply.")
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_ExitOneParser)
-    for name, (help_text, _) in _COMMANDS.items():
-        subparsers.add_parser(name, help=help_text, add_help=False,
-                              parents=[_command_parent(name)])
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        command = subparsers.add_parser(name, help=help_text)
+        command.add_argument("--format", choices=FORMATS, default="json",
+                             help="output format (default: json)")
+        command.add_argument("--quiet", action="store_true",
+                             help="suppress the stdout payload; rely on exit codes")
+        command.add_argument("--meta", action="store_true",
+                             help="attach tool metadata to JSON output")
+        add_arguments(command)
     return parser
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The arguments of the command line ``argv``, with its ``command``."""
-    if argv and argv[0] in _COMMANDS:
-        # argparse's subcommand action makes this same call on the command's
-        # parser, so -h, usage errors and defaults are the same
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    # any other line; for a leading one, the top-level parser reports what
-    # is left over as unrecognized
-    return _build_parser().parse_args(argv)
 
 
 def _report_dict(report: RSBoundReport, include_index: bool) -> dict:
@@ -303,7 +252,7 @@ def _cmd_product(args) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result, code = args.handler(args)
     except (InvalidInputError, TheoremInapplicableError) as exc:

@@ -14,7 +14,6 @@ usage-error invocations.  So are the ``.csv`` and ``.md`` goldens and
 import argparse
 import contextlib
 import copy
-import functools
 import gc
 import io
 import json
@@ -117,17 +116,17 @@ class TestComputeCommand:
         assert calls == {"_characteristic_numbers": 1, "koszul": 1}
 
     def test_calls_leave_no_parser_or_objects_behind(self, capsys):
-        # the collector, not main, frees each call's parser and its cycles.
-        # argparse points every action of a command, its kept parent's and
-        # cli._COMMON's alike, at the group of the latest parser it was added
-        # to, so one shell's groups stay alive per command until that
-        # command's next call replaces them: a fixed number of objects, not a
-        # growing one
+        # the parser is built once and kept, and the collector, not main,
+        # frees what a call makes: a fixed number of objects, not a growing one
         lines = [["compute", "--complex-dim", "4", "--degrees", "6"],
                  ["product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "2"]]
         assert cli.main(lines[0]) == 0
         gc.collect()
-        assert not any(isinstance(o, cli._ExitOneParser) for o in gc.get_objects())
+        (commands,) = [action for action in cli._parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        kept = {id(cli._parser()), *map(id, commands.choices.values())}
+        assert len(kept) == 6
+        assert {id(o) for o in gc.get_objects() if isinstance(o, cli._ExitOneParser)} == kept
         counts = []
         for call in range(2000):
             assert cli.main(lines[call % 2]) == 0
@@ -423,8 +422,8 @@ class TestHelpText:
         def probe(*args, **kwargs):
             raise AssertionError("the CLI probed the terminal")
         monkeypatch.setattr(shutil, "get_terminal_size", probe)
-        # nor a command's first call, which builds its arguments
-        TestParserBuilding.no_parent_built_yet(monkeypatch)
+        # nor the first call, which builds the parser
+        cli._parser.cache_clear()
         assert cli.main(["compute", "--complex-dim", "2", "--degrees", "4"]) == 0
         assert capsys.readouterr().out == golden("compute_k3.json")
         with pytest.raises(SystemExit) as exited:
@@ -542,19 +541,9 @@ class TestHelpText:
     @settings(max_examples=600, deadline=None)
     @given(st.one_of(TOKENS, st.builds(operator.add, COMPLETE, TOKENS)))
     def test_bytes_equal_those_with_every_command_in_full(self, argv):
-        with mock.patch.object(cli, "_parse_args",
-                               lambda argv: self.every_command_in_full().parse_args(argv)):
+        with mock.patch.object(cli, "_parser", self.every_command_in_full):
             expected = self.outcome(argv)
         assert self.outcome(argv) == expected
-
-    @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_a_commands_own_parser_formats_as_with_every_command(self, command):
-        # the reference adds -h and the output flags itself, not from cli._COMMON
-        (subparsers,) = [action for action in self.every_command_in_full()._actions
-                         if isinstance(action, argparse._SubParsersAction)]
-        reference, parser = subparsers.choices[command], cli._command_parser(command)
-        assert parser.format_help() == reference.format_help()
-        assert parser.format_usage() == reference.format_usage()
 
 
 class TestParserBuilding:
@@ -574,144 +563,35 @@ class TestParserBuilding:
         return {name: [action.dest for action in subparser._actions]
                 for name, subparser in subparsers.choices.items()}
 
-    # a complete line of each command
-    LEADING = {
-        "compute": ["compute", "--complex-dim", "4", "--degrees", "6", "8"],
-        "table": ["table", "calabi-yau", "--max-m", "4"],
-        "verify": ["verify", "symmetric-poly", "--m", "3", "--r", "2"],
-        "search": ["search", "--complex-dim", "2", "--threshold", "100"],
-        "product": ["product", "--complex-dim", "2", "--degrees", "4", "--torus-dim", "1"],
-    }
-
-    @staticmethod
-    def parsers_built(argv, monkeypatch):
-        """The prog of each parser that cli.main builds on ``argv``."""
-        progs = []
-        init = cli._ExitOneParser.__init__
-
-        def counted(parser, **kwargs):
-            progs.append(kwargs.get("prog"))
-            init(parser, **kwargs)
-        monkeypatch.setattr(cli._ExitOneParser, "__init__", counted)
-        with contextlib.suppress(SystemExit):
-            cli.main(argv)
-        return progs
-
     def test_the_top_level_parser_has_every_command_in_full(self):
-        assert self.arguments(cli._build_parser()) == self.FULL
+        assert self.arguments(cli._parser()) == self.FULL
 
-    @pytest.mark.parametrize("command", list(FULL))
-    def test_a_commands_own_parser_has_exactly_its_arguments(self, command):
-        # what parses a line that starts with its command
-        parser = cli._command_parser(command)
-        assert parser.prog == f"rscount {command}"
-        assert [action.dest for action in parser._actions] == self.FULL[command]
-
-    @pytest.mark.parametrize("command", list(FULL))
-    def test_only_the_named_command_gets_its_arguments(self, command, monkeypatch, capsys):
-        # a line that starts with its command builds that command's parser alone
-        assert self.parsers_built(self.LEADING[command], monkeypatch) == [f"rscount {command}"]
-
-    @pytest.mark.parametrize("argv", [
-        *LEADING.values(),
-        ["compute", "--complex-dim", "2", "--degrees", "4",
-         "--format", "csv", "--quiet", "--meta"],
-    ])
-    def test_the_named_command_parses_as_with_every_command(self, argv):
-        # its own parser gives what the top-level parser gives
-        parser = cli._build_parser()
-        args = vars(parser.parse_args(argv))
-        assert set(args) == {*self.FULL[argv[0]], "command", "handler"} - {"help"}
-        assert vars(cli._parse_args(argv)) == args
-
-    @pytest.mark.parametrize("argv", [
-        ["--quiet", "compute", "--complex-dim", "2", "--degrees", "4"],
-        ["-x", "table", "calabi-yau", "--max-m", "2"],
-        ["bogus", "search", "product"],
-        ["-x", "verify", "table", "compute"],
-    ])
-    def test_the_first_command_named_has_exactly_its_arguments(self, argv, monkeypatch,
-                                                               capsys):
-        # on any other line, argparse hands what follows the first command
-        # named to that command's parser and to no other, so that parser
-        # alone decides what the line prints
-        first = next(arg for arg in argv if arg in self.FULL)
-        parsed = []
-        parse = cli._ExitOneParser.parse_known_args
-
-        def recorded(parser, *args):
-            parsed.append(parser)
-            return parse(parser, *args)
-        monkeypatch.setattr(cli._ExitOneParser, "parse_known_args", recorded)
-        with contextlib.suppress(SystemExit):
+    @staticmethod
+    def built(argv):
+        """How many arguments cli.main adds, and how many parsers it
+        constructs, on ``argv``."""
+        add_argument, init = argparse._ActionsContainer.add_argument, cli._ExitOneParser.__init__
+        with (mock.patch.object(argparse._ActionsContainer, "add_argument", autospec=True,
+                                side_effect=add_argument) as added,
+              mock.patch.object(cli._ExitOneParser, "__init__", autospec=True,
+                                side_effect=init) as constructed,
+              contextlib.suppress(SystemExit)):
             cli.main(argv)
-        progs = [parser.prog for parser in parsed]
-        if argv[0] == "bogus":
-            # an invalid choice stops the line before any command
-            assert progs == ["rscount"]
-        else:
-            assert progs == ["rscount", f"rscount {first}"]
-            assert [action.dest for action in parsed[1]._actions] == self.FULL[first]
+        return added.call_count, constructed.call_count
 
-    @staticmethod
-    def arguments_added(build):
-        """How many add_argument calls ``build()`` makes."""
-        add_argument = argparse._ActionsContainer.add_argument
-        with mock.patch.object(argparse._ActionsContainer, "add_argument", autospec=True,
-                               side_effect=add_argument) as counted:
-            build()
-        return counted.call_count
-
-    @staticmethod
-    def no_parent_built_yet(monkeypatch):
-        """Gives this test its own empty store of kept command parents."""
-        monkeypatch.setattr(cli, "_command_parent",
-                            functools.cache(cli._command_parent.__wrapped__))
-
-    @pytest.mark.parametrize("command, own", [
-        ("compute", 2), ("table", 3), ("verify", 4), ("search", 2), ("product", 3)])
-    def test_a_call_adds_only_its_commands_own_arguments(self, command, own, monkeypatch,
-                                                         capsys):
-        # -h and the output flags are built once, at import, and a command's
-        # own arguments once, on its first call: a later call adds none
-        self.no_parent_built_yet(monkeypatch)
-        for added in (own, 0, 0):
-            assert self.arguments_added(lambda: cli.main(self.LEADING[command])) == added
-
-    def test_the_top_level_parser_adds_its_help_and_each_commands_own(self, monkeypatch):
-        # each command's own on the first call, then only its -h
-        self.no_parent_built_yet(monkeypatch)
-        for added in (1 + 14, 1, 1):
-            assert self.arguments_added(cli._build_parser) == added
-
-    def test_every_parser_shares_the_same_four_actions(self):
-        # and the rest of its command's kept actions
-        shared = cli._COMMON._actions
-        assert [action.dest for action in shared] == ["help", "format", "quiet", "meta"]
-        (subparsers,) = [action for action in cli._build_parser()._actions
-                         if isinstance(action, argparse._SubParsersAction)]
-        for command in self.FULL:
-            kept = cli._command_parent(command)._actions
-            assert all(mine is common for mine, common in zip(kept[:4], shared, strict=True))
-            for parser in (cli._command_parser(command), subparsers.choices[command]):
-                assert [action.dest for action in parser._actions] == self.FULL[command]
-                assert all(mine is theirs
-                           for mine, theirs in zip(parser._actions, kept, strict=True))
-
-    @pytest.mark.parametrize("argv, built", [
-        # the command's own parser
-        (["compute", "--complex-dim", "2", "--degrees", "4", "--quiet"], 1),
-        # the top-level parser and one per command, for any other line
-        (["--quiet", "compute", "--complex-dim", "2", "--degrees", "4"], 6),
-        # the command's own parser, then the top-level parser and one per
-        # command to report the unrecognized argument
-        (["compute", "--complex-dim", "2", "--degrees", "4", "-x"], 7),
-        # any other line
-        (["--help"], 6),
-        (["bogus", "compute"], 6),
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--complex-dim", "2", "--degrees", "4", "--quiet"],
+        # a leftover argument, which the top-level parser reports
+        ["compute", "--complex-dim", "2", "--degrees", "4", "-x"],
+        ["--help"],
+        ["bogus", "compute"],
     ])
-    def test_parsers_built_per_call(self, argv, built, monkeypatch, capsys):
-        assert len(self.parsers_built(argv, monkeypatch)) == built
+    def test_only_the_first_call_builds_the_parser(self, argv, capsys):
+        # the top-level -h, then each command's -h, output flags and own
+        # arguments, in six parsers; a later call builds nothing
+        cli._parser.cache_clear()
+        own = sum(len(arguments) for arguments in self.FULL.values())
+        assert [self.built(argv) for _ in range(3)] == [(1 + own, 6), (0, 0), (0, 0)]
 
 
 class TestGlobalFlags:
@@ -796,28 +676,32 @@ def test_calls_in_one_process_leave_no_state_behind():
         assert (code, stdout, stderr) == expected, argv
 
 
-# What parsing could change in an action, read at import, before any test
-# has parsed a line.
+# What parsing could change in an action.
 _ACTION_ATTRIBUTES = ("option_strings", "dest", "default", "choices", "required",
                       "nargs", "const", "type", "metavar", "help")
 
 
-def _shared_actions():
-    """Every action of cli._COMMON and of the five kept command parents,
-    with each parent's defaults."""
-    kept = [cli._COMMON, *map(cli._command_parent, cli._COMMANDS)]
-    return copy.deepcopy([([{name: getattr(action, name) for name in _ACTION_ATTRIBUTES}
-                            for action in parser._actions], parser._defaults)
-                          for parser in kept])
-
-
-_SHARED_AT_IMPORT = _shared_actions()
+def _parser_state(parser):
+    """Every action of ``parser`` and its defaults, and the same of each
+    command's parser; the command action's choices are read by name, since
+    a copy of a parser compares by identity."""
+    actions, commands = [], {}
+    for action in parser._actions:
+        state = {name: getattr(action, name) for name in _ACTION_ATTRIBUTES}
+        if action.dest == "command":
+            commands = {name: _parser_state(command) for name, command in action.choices.items()}
+            state["choices"] = list(commands)
+        actions.append(state)
+    return copy.deepcopy((actions, parser._defaults)), commands
 
 
 def test_calls_leave_the_shared_flags_as_they_were():
     """-h, the output flags and each command's arguments are built once and
-    shared by every parser: no call changes them, whatever flags it passes
-    and however it ends, nor every golden's line run in one process."""
+    kept: no call changes them, whatever flags it passes and however it
+    ends, nor every golden's line run in one process."""
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    built = _parser_state(parser)
     for argv, _ in map(golden_case, GOLDEN_FILES):
         TestHelpText.outcome(argv)
     for argv in (["compute", "--complex-dim", "2", "--degrees", "4", "--format", "csv"],
@@ -831,8 +715,9 @@ def test_calls_leave_the_shared_flags_as_they_were():
                  ["search", "--complex-dim", "2", "--threshold", "1", "extra"],
                  ["bogus"], []):
         TestHelpText.outcome(argv)
-    assert _shared_actions() == _SHARED_AT_IMPORT
-    args = cli._parse_args(["compute", "--complex-dim", "2", "--degrees", "4"])
+    assert cli._parser() is parser
+    assert _parser_state(parser) == built
+    args = parser.parse_args(["compute", "--complex-dim", "2", "--degrees", "4"])
     assert (args.format, args.quiet, args.meta) == ("json", False, False)
 
 

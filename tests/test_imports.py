@@ -109,9 +109,10 @@ def test_importing_the_cli_loads_no_slow_or_single_command_module():
     assert proc.stdout.split() == []
 
 
-def test_start_up_adds_only_the_shared_arguments_and_a_call_its_commands():
+def test_import_adds_no_argument_and_the_first_call_adds_each_once():
     # the arguments each add_argument call names in a fresh interpreter: at
-    # import, then on a first compute line, then on a second
+    # import, then on a first compute line, which builds the parser, then on
+    # a second
     code = textwrap.dedent("""
         import argparse, contextlib, io
         added, add_argument = [], argparse._ActionsContainer.add_argument
@@ -130,5 +131,13 @@ def test_start_up_adds_only_the_shared_arguments_and_a_call_its_commands():
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout.splitlines() == ["-h --format --quiet --meta",
-                                        "--complex-dim --degrees", ""]
+    shared = "-h --format --quiet --meta"
+    assert proc.stdout.splitlines() == [
+        "",
+        " ".join(["-h",
+                  shared, "--complex-dim --degrees",
+                  shared, "name --max-n --max-m",
+                  shared, "suite --max-m --m --r",
+                  shared, "--complex-dim --threshold",
+                  shared, "--complex-dim --degrees --torus-dim"]),
+        ""]
